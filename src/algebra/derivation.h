@@ -28,7 +28,9 @@ namespace tqp {
 
 /// The type of result a user-level query specifies (Definition 5.1):
 /// ORDER BY present => list; DISTINCT without ORDER BY => set; neither =>
-/// multiset.
+/// multiset. A kSet contract makes duplicates at the root irrelevant, so it
+/// admits dropping the root's own rdup; the TQL translator therefore gives
+/// DISTINCT without ORDER BY the kMultiset contract over its root rdup.
 enum class ResultType { kList, kMultiset, kSet };
 
 const char* ResultTypeName(ResultType t);

@@ -62,7 +62,7 @@ ExprPtr Expr::Attr(std::string name) {
   auto e = std::shared_ptr<Expr>(new Expr());
   e->kind_ = ExprKind::kAttr;
   e->attr_name_ = std::move(name);
-  e->ComputeHash();
+  e->Seal();
   return e;
 }
 
@@ -70,7 +70,7 @@ ExprPtr Expr::Const(Value v) {
   auto e = std::shared_ptr<Expr>(new Expr());
   e->kind_ = ExprKind::kConst;
   e->constant_ = std::move(v);
-  e->ComputeHash();
+  e->Seal();
   return e;
 }
 
@@ -79,7 +79,7 @@ ExprPtr Expr::Compare(CompareOp op, ExprPtr lhs, ExprPtr rhs) {
   e->kind_ = ExprKind::kCompare;
   e->compare_op_ = op;
   e->children_ = {std::move(lhs), std::move(rhs)};
-  e->ComputeHash();
+  e->Seal();
   return e;
 }
 
@@ -87,7 +87,7 @@ ExprPtr Expr::And(ExprPtr lhs, ExprPtr rhs) {
   auto e = std::shared_ptr<Expr>(new Expr());
   e->kind_ = ExprKind::kAnd;
   e->children_ = {std::move(lhs), std::move(rhs)};
-  e->ComputeHash();
+  e->Seal();
   return e;
 }
 
@@ -95,7 +95,7 @@ ExprPtr Expr::Or(ExprPtr lhs, ExprPtr rhs) {
   auto e = std::shared_ptr<Expr>(new Expr());
   e->kind_ = ExprKind::kOr;
   e->children_ = {std::move(lhs), std::move(rhs)};
-  e->ComputeHash();
+  e->Seal();
   return e;
 }
 
@@ -103,7 +103,7 @@ ExprPtr Expr::Not(ExprPtr operand) {
   auto e = std::shared_ptr<Expr>(new Expr());
   e->kind_ = ExprKind::kNot;
   e->children_ = {std::move(operand)};
-  e->ComputeHash();
+  e->Seal();
   return e;
 }
 
@@ -112,7 +112,7 @@ ExprPtr Expr::Arith(ArithOp op, ExprPtr lhs, ExprPtr rhs) {
   e->kind_ = ExprKind::kArith;
   e->arith_op_ = op;
   e->children_ = {std::move(lhs), std::move(rhs)};
-  e->ComputeHash();
+  e->Seal();
   return e;
 }
 
@@ -120,7 +120,7 @@ ExprPtr Expr::Overlaps(ExprPtr a, ExprPtr b, ExprPtr c, ExprPtr d) {
   auto e = std::shared_ptr<Expr>(new Expr());
   e->kind_ = ExprKind::kOverlaps;
   e->children_ = {std::move(a), std::move(b), std::move(c), std::move(d)};
-  e->ComputeHash();
+  e->Seal();
   return e;
 }
 
@@ -286,7 +286,7 @@ std::string Expr::ToString() const {
   return "?";
 }
 
-void Expr::ComputeHash() {
+void Expr::Seal() {
   uint64_t h = HashMix64(static_cast<uint64_t>(kind_) + 1);
   switch (kind_) {
     case ExprKind::kAttr:
@@ -304,8 +304,13 @@ void Expr::ComputeHash() {
     default:
       break;
   }
-  for (const ExprPtr& c : children_) h = HashCombine(h, c->hash());
+  uint32_t below = 0;
+  for (const ExprPtr& c : children_) {
+    h = HashCombine(h, c->hash());
+    below = std::max(below, c->height());
+  }
   hash_ = h;
+  height_ = below + 1;
 }
 
 bool Expr::Equals(const ExprPtr& a, const ExprPtr& b) {
@@ -352,7 +357,7 @@ ExprPtr Expr::RenameAttrs(
   for (const ExprPtr& c : children_) {
     e->children_.push_back(c->RenameAttrs(mapping));
   }
-  e->ComputeHash();
+  e->Seal();
   return e;
 }
 

@@ -77,6 +77,11 @@ class Expr {
   /// converse is confirmed with Equals() where it matters.
   uint64_t hash() const { return hash_; }
 
+  /// Nodes on the longest root-to-leaf path (1 for a leaf), computed once at
+  /// construction. The TQL parser bounds it, so recursive walkers over a
+  /// parsed expression cannot exhaust the stack.
+  uint32_t height() const { return height_; }
+
   /// Structural equality (pointer short-circuit, then hash, then recursion).
   static bool Equals(const ExprPtr& a, const ExprPtr& b);
 
@@ -87,9 +92,9 @@ class Expr {
  private:
   Expr() = default;
 
-  /// Seals the node: derives hash_ from the payload and children. Must be the
-  /// last step of every construction path.
-  void ComputeHash();
+  /// Seals the node: derives hash_ and height_ from the payload and
+  /// children. Must be the last step of every construction path.
+  void Seal();
 
   ExprKind kind_ = ExprKind::kConst;
   std::string attr_name_;
@@ -98,6 +103,7 @@ class Expr {
   ArithOp arith_op_ = ArithOp::kAdd;
   std::vector<ExprPtr> children_;
   uint64_t hash_ = 0;
+  uint32_t height_ = 1;
 };
 
 /// One item of a projection list: an expression and its output name.

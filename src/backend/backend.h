@@ -43,9 +43,10 @@ class Backend {
 
   /// Mirrors the DBMS-site relations of `catalog` into the backend. Keyed on
   /// the catalog contents: a repeated call with unchanged relations is a
-  /// cheap no-op, and a file-backed mirror written by an earlier process is
-  /// reused instead of reloaded. Called automatically before each cut-point
-  /// execution.
+  /// no-op costing O(#relations) — it folds each relation's name, schema and
+  /// Catalog::content_digest, never its tuples — and a file-backed mirror
+  /// written by an earlier process is reused instead of reloaded. Called
+  /// automatically before each cut-point execution.
   virtual Status SyncCatalog(const Catalog& catalog) = 0;
 
   /// False = the engine never consults CanPush/ExecuteSubplan and evaluates

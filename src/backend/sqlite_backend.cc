@@ -84,12 +84,15 @@ Value DecodeColumn(sqlite3_stmt* st, int i, ValueType t) {
   return Value::Null();
 }
 
-/// Order-sensitive digest of the DBMS-site relations: names, schemas, and
-/// every tuple. This — not the catalog pointer or version — keys the
-/// mirror, so a file-backed mirror written by another process (or an
-/// unrelated catalog object with identical contents) is recognized.
+/// Digest of the DBMS-site relations: names, schemas, and each relation's
+/// catalog content digest (computed once when the relation was stored), so
+/// an unchanged catalog costs O(#relations) to recognize. This — not the
+/// catalog pointer or version — keys the mirror, so a file-backed mirror
+/// written by another process (or an unrelated catalog object with
+/// identical contents) is recognized. The seed names the formula: a mirror
+/// stamped under another one never matches and is reloaded once.
 uint64_t CatalogContentFingerprint(const Catalog& catalog) {
-  uint64_t h = 0x7ab1e5cafe;
+  uint64_t h = 0x7ab1e5d16e57;
   for (const std::string& name : catalog.Names()) {
     const CatalogEntry* e = catalog.Find(name);
     if (e == nullptr || e->site != Site::kDbms) continue;
@@ -98,10 +101,7 @@ uint64_t CatalogContentFingerprint(const Catalog& catalog) {
       h = HashCombine(h, std::hash<std::string>{}(a.name));
       h = HashCombine(h, static_cast<uint64_t>(a.type));
     }
-    h = HashCombine(h, e->data.size());
-    for (const Tuple& t : e->data.tuples()) {
-      h = HashCombine(h, t.Hash());
-    }
+    h = HashCombine(h, catalog.content_digest(name));
   }
   return h;
 }

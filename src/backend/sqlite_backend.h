@@ -3,9 +3,11 @@
 // DBMS-site catalog relations are mirrored as positional tables
 // ("rel_<name>", columns c0..cN-1, rowid = list position); conventional cut
 // subplans run as one serialized SQL statement each (sql_serializer.h). The
-// mirror is keyed on a content fingerprint of the DBMS-site relations, so
-// repeated syncs are no-ops and a file-backed database written by an
-// earlier process is reused across restarts without reloading.
+// mirror is keyed on a content fingerprint of the DBMS-site relations
+// (names, schemas and per-relation Catalog::content_digest values), so a
+// repeated sync is an O(#relations) no-op and a file-backed database
+// written by an earlier process is reused across restarts without
+// reloading.
 //
 // Compiled against system sqlite3 when available (TQP_HAVE_SQLITE3,
 // detected by CMake); otherwise Available() is false and Open() fails,

@@ -1,6 +1,18 @@
 #include "core/catalog.h"
 
+#include "core/hash.h"
+
 namespace tqp {
+
+namespace {
+
+uint64_t ContentDigest(const Relation& data) {
+  uint64_t h = HashMix64(data.size());
+  for (const Tuple& t : data.tuples()) h = HashCombine(h, t.Hash());
+  return h;
+}
+
+}  // namespace
 
 const char* SiteName(Site s) {
   return s == Site::kDbms ? "DBMS" : "STRATUM";
@@ -11,22 +23,26 @@ Status Catalog::Register(const std::string& name, CatalogEntry entry) {
     return Status::InvalidArgument("relation '" + name + "' already registered");
   }
   TQP_RETURN_IF_ERROR(Verify(name, entry));
-  entry.data.set_order(entry.order);
-  entries_.emplace(name, std::move(entry));
-  relation_versions_[name] = ++version_;
+  Store(name, std::move(entry));
   return Status::OK();
 }
 
 Status Catalog::Update(const std::string& name, CatalogEntry entry) {
   TQP_RETURN_IF_ERROR(Verify(name, entry));
+  Store(name, std::move(entry));
+  return Status::OK();
+}
+
+void Catalog::Store(const std::string& name, CatalogEntry entry) {
   entry.data.set_order(entry.order);
+  content_digests_[name] = ContentDigest(entry.data);
   entries_[name] = std::move(entry);
   relation_versions_[name] = ++version_;
-  return Status::OK();
 }
 
 bool Catalog::Drop(const std::string& name) {
   if (entries_.erase(name) == 0) return false;
+  content_digests_.erase(name);
   // Tombstone: the drop is a mutation of `name`, visible to per-relation
   // consumers exactly like an update.
   relation_versions_[name] = ++version_;
@@ -36,6 +52,11 @@ bool Catalog::Drop(const std::string& name) {
 uint64_t Catalog::relation_version(const std::string& name) const {
   auto it = relation_versions_.find(name);
   return it == relation_versions_.end() ? 0 : it->second;
+}
+
+uint64_t Catalog::content_digest(const std::string& name) const {
+  auto it = content_digests_.find(name);
+  return it == content_digests_.end() ? 0 : it->second;
 }
 
 Status Catalog::Verify(const std::string& name,

@@ -58,6 +58,12 @@ struct CatalogEntry {
 /// an update of relation A never invalidates state derived only from B.
 /// Dropped relations keep their stamp (a tombstone): re-registering under
 /// the same name yields a strictly larger version, never a repeat.
+///
+/// Each registered relation also carries a content digest, computed once
+/// by the mutator that stored it. Find() hands out only const entries, so
+/// the data cannot change behind a digest; copying a catalog copies the
+/// digests with the data. Content-keyed consumers (a backend's catalog
+/// mirror) compare digests instead of walking tuples.
 class Catalog {
  public:
   /// Registers a relation; metadata flags are *verified* against the data so
@@ -89,12 +95,21 @@ class Catalog {
   /// registered. Monotonically increasing per relation.
   uint64_t relation_version(const std::string& name) const;
 
+  /// Order-sensitive digest of `name`'s tuple list: its size and every
+  /// Tuple::Hash() in list order. Equal lists give equal digests whatever
+  /// catalog (or process) holds them. 0 if `name` is not registered.
+  uint64_t content_digest(const std::string& name) const;
+
  private:
   Status Verify(const std::string& name, const CatalogEntry& entry) const;
+  /// Stores a verified entry and stamps its version and content digest.
+  void Store(const std::string& name, CatalogEntry entry);
 
   std::map<std::string, CatalogEntry> entries_;
   /// Per-relation mutation stamps, including tombstones for dropped names.
   std::map<std::string, uint64_t> relation_versions_;
+  /// Content digests of the registered relations (no tombstones).
+  std::map<std::string, uint64_t> content_digests_;
   uint64_t version_ = 0;
 };
 

@@ -43,6 +43,16 @@ void WriteRowValue(JsonWriter* w, const Value& v) {
   }
 }
 
+/// One {"type":"error"} frame, newline-terminated.
+std::string ErrorFrame(const std::string& message) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("type").String("error");
+  w.Key("message").String(message);
+  w.EndObject();
+  return w.Take() + "\n";
+}
+
 /// Sends the whole buffer, retrying short writes. MSG_NOSIGNAL turns a
 /// vanished peer into an EPIPE return instead of a process signal.
 bool SendAll(int fd, const std::string& data) {
@@ -288,11 +298,32 @@ void Server::SnapshotLoop() {
 
 void Server::ServeConnection(Connection* conn) {
   std::string buffer;
+  size_t scanned = 0;  // prefix of `buffer` already searched for '\n'
   char chunk[4096];
-  bool open = true;
-  while (open) {
-    size_t nl = buffer.find('\n');
+  while (true) {
+    size_t nl = buffer.find('\n', scanned);
+    size_t line_bytes = nl == std::string::npos ? buffer.size() : nl;
+    if (line_bytes > kMaxLineBytes) {
+      // Refuse the line without buffering the rest of it: answer, send FIN,
+      // and drain (boundedly) what the client already sent, so the close
+      // does not reset the connection before the client reads the frame.
+      errors_.fetch_add(1, std::memory_order_relaxed);
+      (void)SendAll(conn->fd,
+                    ErrorFrame("line exceeds " +
+                               std::to_string(kMaxLineBytes) +
+                               " bytes; closing the connection"));
+      ::shutdown(conn->fd, SHUT_WR);
+      size_t drained = 0;
+      while (drained <= kMaxLineBytes) {
+        ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) break;
+        drained += static_cast<size_t>(n);
+      }
+      break;
+    }
     if (nl == std::string::npos) {
+      scanned = buffer.size();
       ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
       if (n <= 0) {
         if (n < 0 && errno == EINTR) continue;
@@ -303,6 +334,7 @@ void Server::ServeConnection(Connection* conn) {
     }
     std::string line = buffer.substr(0, nl);
     buffer.erase(0, nl + 1);
+    scanned = 0;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     if (line == "\\quit") break;
@@ -365,13 +397,7 @@ void Server::HandleLine(const std::string& line, Connection* conn,
   auto result = engine_->Query(line, run);
   if (!result.ok()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("type").String("error");
-    w.Key("message").String(result.status().message());
-    w.EndObject();
-    *out += w.Take();
-    out->push_back('\n');
+    *out += ErrorFrame(result.status().message());
     return;
   }
   queries_.fetch_add(1, std::memory_order_relaxed);

@@ -21,6 +21,9 @@
 //                        "plan_cache_hit":b,"best_cost":..,"exec":{..}}
 //                     for a failed query (connection stays usable):
 //                       {"type":"error","message":"..."}
+//                     for a line over kMaxLineBytes, the
+//                     same error frame, then the server closes the
+//                     connection
 //                     for \stats:
 //                       {"type":"stats","server":{..},"engine":{..}}
 //                     for \metrics (after publishing engine + server stats
@@ -76,6 +79,11 @@ struct ServerOptions {
   /// listen(2) backlog.
   int backlog = 128;
 };
+
+/// Longest accepted request line. A longer one (terminated or not) gets an
+/// error frame and the connection is closed, so a client that never sends
+/// a newline cannot grow the server's buffer without bound.
+inline constexpr size_t kMaxLineBytes = size_t{1} << 20;
 
 /// Service-level counters (the Engine keeps its own in EngineStats).
 struct ServerStats {

@@ -1,5 +1,7 @@
 #include "tql/parser.h"
 
+#include <charconv>
+
 #include "tql/lexer.h"
 
 namespace tqp {
@@ -32,6 +34,7 @@ class Parser {
       } else {
         break;
       }
+      if (ast.stmts.size() >= kMaxNesting) return TooDeep();
       TQP_ASSIGN_OR_RETURN(next, Stmt());
       ast.stmts.push_back(std::move(next));
     }
@@ -124,6 +127,7 @@ class Parser {
     }
     TQP_RETURN_IF_ERROR(Expect("FROM"));
     while (true) {
+      if (stmt.from.size() >= kMaxNesting) return TooDeep();
       TQP_ASSIGN_OR_RETURN(rel, Identifier("relation name"));
       stmt.from.push_back(rel);
       if (!AcceptSymbol(",")) break;
@@ -191,7 +195,8 @@ class Parser {
     ExprPtr out = lhs;
     while (Accept("OR")) {
       TQP_ASSIGN_OR_RETURN(rhs, AndExpr());
-      out = Expr::Or(out, rhs);
+      TQP_ASSIGN_OR_RETURN(e, Bounded(Expr::Or(out, rhs)));
+      out = e;
     }
     return out;
   }
@@ -201,15 +206,18 @@ class Parser {
     ExprPtr out = lhs;
     while (Accept("AND")) {
       TQP_ASSIGN_OR_RETURN(rhs, NotExpr());
-      out = Expr::And(out, rhs);
+      TQP_ASSIGN_OR_RETURN(e, Bounded(Expr::And(out, rhs)));
+      out = e;
     }
     return out;
   }
 
   Result<ExprPtr> NotExpr() {
     if (Accept("NOT")) {
+      TQP_RETURN_IF_ERROR(Nest());
       TQP_ASSIGN_OR_RETURN(e, NotExpr());
-      return Expr::Not(e);
+      --depth_;
+      return Bounded(Expr::Not(e));
     }
     return CmpExpr();
   }
@@ -227,7 +235,7 @@ class Parser {
     for (const OpMap& m : kOps) {
       if (AcceptSymbol(m.sym)) {
         TQP_ASSIGN_OR_RETURN(rhs, AddExpr());
-        return Expr::Compare(m.op, lhs, rhs);
+        return Bounded(Expr::Compare(m.op, lhs, rhs));
       }
     }
     return lhs;
@@ -237,15 +245,17 @@ class Parser {
     TQP_ASSIGN_OR_RETURN(lhs, MulExpr());
     ExprPtr out = lhs;
     while (true) {
+      ArithOp op;
       if (AcceptSymbol("+")) {
-        TQP_ASSIGN_OR_RETURN(rhs, MulExpr());
-        out = Expr::Arith(ArithOp::kAdd, out, rhs);
+        op = ArithOp::kAdd;
       } else if (AcceptSymbol("-")) {
-        TQP_ASSIGN_OR_RETURN(rhs, MulExpr());
-        out = Expr::Arith(ArithOp::kSub, out, rhs);
+        op = ArithOp::kSub;
       } else {
         return out;
       }
+      TQP_ASSIGN_OR_RETURN(rhs, MulExpr());
+      TQP_ASSIGN_OR_RETURN(e, Bounded(Expr::Arith(op, out, rhs)));
+      out = e;
     }
   }
 
@@ -253,15 +263,17 @@ class Parser {
     TQP_ASSIGN_OR_RETURN(lhs, Primary());
     ExprPtr out = lhs;
     while (true) {
+      ArithOp op;
       if (AcceptSymbol("*")) {
-        TQP_ASSIGN_OR_RETURN(rhs, Primary());
-        out = Expr::Arith(ArithOp::kMul, out, rhs);
+        op = ArithOp::kMul;
       } else if (AcceptSymbol("/")) {
-        TQP_ASSIGN_OR_RETURN(rhs, Primary());
-        out = Expr::Arith(ArithOp::kDiv, out, rhs);
+        op = ArithOp::kDiv;
       } else {
         return out;
       }
+      TQP_ASSIGN_OR_RETURN(rhs, Primary());
+      TQP_ASSIGN_OR_RETURN(e, Bounded(Expr::Arith(op, out, rhs)));
+      out = e;
     }
   }
 
@@ -271,18 +283,21 @@ class Parser {
       case TokenKind::kIdentifier:
         ++pos_;
         return Expr::Attr(t.text);
-      case TokenKind::kInteger:
-        ++pos_;
-        return Expr::Const(Value::Int(std::stoll(t.text)));
-      case TokenKind::kFloat:
-        ++pos_;
-        return Expr::Const(Value::Double(std::stod(t.text)));
+      case TokenKind::kInteger: {
+        TQP_ASSIGN_OR_RETURN(v, Number<int64_t>(t));
+        return Expr::Const(Value::Int(v));
+      }
+      case TokenKind::kFloat: {
+        TQP_ASSIGN_OR_RETURN(v, Number<double>(t));
+        return Expr::Const(Value::Double(v));
+      }
       case TokenKind::kString:
         ++pos_;
         return Expr::Const(Value::String(t.text));
       case TokenKind::kKeyword:
         if (t.text == "OVERLAPS") {
           ++pos_;
+          TQP_RETURN_IF_ERROR(Nest());
           TQP_RETURN_IF_ERROR(ExpectSymbol("("));
           TQP_ASSIGN_OR_RETURN(a, AddExpr());
           TQP_RETURN_IF_ERROR(ExpectSymbol(","));
@@ -292,14 +307,17 @@ class Parser {
           TQP_RETURN_IF_ERROR(ExpectSymbol(","));
           TQP_ASSIGN_OR_RETURN(d, AddExpr());
           TQP_RETURN_IF_ERROR(ExpectSymbol(")"));
-          return Expr::Overlaps(a, b, c, d);
+          --depth_;
+          return Bounded(Expr::Overlaps(a, b, c, d));
         }
         break;
       case TokenKind::kSymbol:
         if (t.IsSymbol("(")) {
           ++pos_;
+          TQP_RETURN_IF_ERROR(Nest());
           TQP_ASSIGN_OR_RETURN(e, OrExpr());
           TQP_RETURN_IF_ERROR(ExpectSymbol(")"));
+          --depth_;
           return e;
         }
         break;
@@ -310,8 +328,47 @@ class Parser {
                                    "' at offset " + std::to_string(t.position));
   }
 
+  // Every recursive production (NOT, a parenthesized expression, OVERLAPS)
+  // enters through Nest(), and every built node through Bounded(): both the
+  // parser's own recursion and the height of the tree it hands to recursive
+  // walkers stay within kMaxNesting, so a hostile line is an error, not a
+  // stack overflow. The set-operation and FROM lists, which the translator
+  // turns into left-deep plan chains, are bounded the same way. An error
+  // abandons the parse, so only the success paths restore depth_.
+  Status Nest() {
+    if (++depth_ > kMaxNesting) return TooDeep();
+    return Status::OK();
+  }
+
+  Result<ExprPtr> Bounded(ExprPtr e) {
+    if (e->height() > kMaxNesting) return TooDeep();
+    return e;
+  }
+
+  Status TooDeep() const {
+    return Status::InvalidArgument(
+        "query nested deeper than " + std::to_string(kMaxNesting) +
+        " levels at offset " + std::to_string(cur().position));
+  }
+
+  /// Consumes a numeric literal token; out-of-range values are an error.
+  template <typename T>
+  Result<T> Number(const Token& t) {
+    T v{};
+    const char* end = t.text.data() + t.text.size();
+    auto [ptr, ec] = std::from_chars(t.text.data(), end, v);
+    if (ec != std::errc() || ptr != end) {
+      return Status::InvalidArgument("numeric literal '" + t.text +
+                                     "' out of range at offset " +
+                                     std::to_string(t.position));
+    }
+    ++pos_;
+    return v;
+  }
+
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  uint32_t depth_ = 0;
 };
 
 }  // namespace

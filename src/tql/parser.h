@@ -21,6 +21,7 @@
 #ifndef TQP_TQL_PARSER_H_
 #define TQP_TQL_PARSER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,15 @@ struct QueryAst {
   SortSpec order_by;
 };
 
-/// Parses a TQL query string.
+/// The deepest nesting ParseQuery accepts. It bounds nested NOT,
+/// parentheses and OVERLAPS, the height of every parsed expression tree
+/// (`a AND b AND c` is two levels above its operands), and the number of
+/// statements in a set-operation chain and of relations in a FROM list
+/// (each becomes one level of a left-deep plan).
+constexpr uint32_t kMaxNesting = 256;
+
+/// Parses a TQL query string. Never throws: an out-of-range numeric literal
+/// or input nested deeper than kMaxNesting is an error status.
 Result<QueryAst> ParseQuery(const std::string& input);
 
 }  // namespace tqp

@@ -167,13 +167,13 @@ Result<TranslatedQuery> TranslateQuery(const QueryAst& ast,
 
   TranslatedQuery out;
   out.plan = plan;
-  if (!ast.order_by.empty()) {
-    out.contract = QueryContract::List(ast.order_by);
-  } else if (head.distinct) {
-    out.contract = QueryContract::Set();
-  } else {
-    out.contract = QueryContract::Multiset();
-  }
+  // DISTINCT without ORDER BY asks for a set (Definition 5.1), yet its
+  // contract is ≡M, not ≡S: under ≡S the optimizer may drop the very rdup
+  // that makes the answer a set (D3 at the root, D4 below coalT). Over that
+  // root rdup/rdupT the answer is (snapshot-)duplicate-free, where ≡M and
+  // ≡S agree, and below it Table 2 already makes duplicates irrelevant.
+  out.contract = ast.order_by.empty() ? QueryContract::Multiset()
+                                      : QueryContract::List(ast.order_by);
   // Fail fast on malformed queries (unknown attributes, schema mismatches).
   TQP_ASSIGN_OR_RETURN(ann,
                        AnnotatedPlan::Make(plan, &catalog, out.contract));

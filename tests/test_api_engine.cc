@@ -89,6 +89,35 @@ TEST(ApiEngineTest, FacadeMatchesHandWiredPipeline) {
   EXPECT_FALSE(facade->plan_cache_hit);
 }
 
+TEST(ApiEngineTest, DistinctWithoutOrderByAnswersASet) {
+  // The optimizer may not drop the rdup that makes a DISTINCT answer a set:
+  // not the root rdup (rule D3, rdup(r) ≡S r), and not the rdupT below
+  // coalT (rule D4). The answer must be (snapshot-)duplicate-free and ≡M to
+  // the reference evaluation of the initial plan.
+  Catalog catalog = WorkloadCatalog();
+  Engine engine(WorkloadCatalog());
+  for (const char* text : {"SELECT DISTINCT Name FROM R WHERE Cat <> 2",
+                           "VALIDTIME COALESCED SELECT DISTINCT Name FROM R"}) {
+    SCOPED_TRACE(text);
+    Result<QueryResult> got = engine.Query(text);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    EXPECT_FALSE(got->relation.HasDuplicates())
+        << got->relation.ToTable("answer");
+    EXPECT_FALSE(got->relation.HasSnapshotDuplicates())
+        << got->relation.ToTable("answer");
+
+    Result<TranslatedQuery> q = CompileQuery(text, catalog);
+    ASSERT_TRUE(q.ok()) << q.status().message();
+    Result<AnnotatedPlan> ann =
+        AnnotatedPlan::Make(q->plan, &catalog, q->contract);
+    ASSERT_TRUE(ann.ok()) << ann.status().message();
+    Result<Relation> ref = Evaluate(ann.value(), EngineConfig{});
+    ASSERT_TRUE(ref.ok()) << ref.status().message();
+    EXPECT_TRUE(EquivalentAsMultisets(got->relation, ref.value()))
+        << got->relation.ToTable("answer") << ref->ToTable("reference");
+  }
+}
+
 TEST(ApiEngineTest, WarmRunsMatchColdAcrossWorkload) {
   // For every workload query: the warm engine's second run (plan-cache hit,
   // primed interner/derivation cache) returns the identical relation, chosen

@@ -527,6 +527,58 @@ TEST(SqliteBackendTest, FileBackedMirrorReusedAcrossRestarts) {
   std::remove(path.c_str());
 }
 
+TEST(SqliteBackendTest, MirrorFollowsContentNotCatalogIdentity) {
+  if (!SqliteBackend::Available()) GTEST_SKIP();
+  Catalog catalog = MakeCatalog(42);
+  Result<std::unique_ptr<SqliteBackend>> opened = SqliteBackend::Open();
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  SqliteBackend* be = opened.value().get();
+  ASSERT_TRUE(be->SyncCatalog(catalog).ok());
+  ASSERT_EQ(be->mirror_loads(), 1);
+
+  // An Update with identical contents moves the version, not the mirror.
+  CatalogEntry same = *catalog.Find("C");
+  ASSERT_TRUE(catalog.Update("C", same).ok());
+  ASSERT_TRUE(be->SyncCatalog(catalog).ok());
+  EXPECT_EQ(be->mirror_loads(), 1) << "identical update reloaded";
+
+  // A copy-assigned catalog with the same contents is recognized.
+  Catalog copy;
+  copy = catalog;
+  ASSERT_TRUE(be->SyncCatalog(copy).ok());
+  EXPECT_EQ(be->mirror_loads(), 1) << "copied catalog reloaded";
+
+  // One changed value in one DBMS relation reloads, and a pushed query
+  // sees the new value.
+  CatalogEntry changed = *catalog.Find("C");
+  ASSERT_GT(changed.data.size(), 0u);
+  changed.data.mutable_tuples()[0].at(2) = Value::Int(424242);
+  ASSERT_TRUE(catalog.Update("C", changed).ok());
+  ASSERT_TRUE(be->SyncCatalog(catalog).ok());
+  EXPECT_EQ(be->mirror_loads(), 2) << "changed relation not reloaded";
+
+  PlanPtr plan = PlanNode::TransferS(PlanNode::Select(
+      PlanNode::Scan("C"),
+      Expr::Compare(CompareOp::kGt, Expr::Attr("Val"),
+                    Expr::Const(Value::Int(100)))));
+  Result<Relation> ref = EvaluatePlan(plan, catalog, EngineConfig{}, nullptr);
+  ASSERT_TRUE(ref.ok());
+  EngineConfig cfg;
+  cfg.backend = be;
+  ExecStats stats;
+  Result<Relation> got = EvaluatePlan(plan, catalog, cfg, &stats);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectListIdentical(ref.value(), got.value(), "after-update");
+  EXPECT_EQ(stats.backend_pushdowns, 1);
+  EXPECT_EQ(stats.backend_fallbacks, 0);
+  bool sees_new_value = false;
+  for (const Tuple& t : got.value().tuples()) {
+    if (t.at(2) == Value::Int(424242)) sees_new_value = true;
+  }
+  EXPECT_TRUE(sees_new_value);
+  EXPECT_EQ(be->mirror_loads(), 2);
+}
+
 // ---- Engine integration ---------------------------------------------------
 
 std::vector<std::string> EngineQueries() {

@@ -259,6 +259,45 @@ TEST(CatalogTest, PerRelationVersionTracking) {
   EXPECT_EQ(catalog.version(), 5u);
 }
 
+TEST(CatalogTest, ContentDigestFollowsTheTupleList) {
+  Relation ab = TemporalRel({{"a", 1, 0, 5}, {"b", 2, 1, 4}});
+  Relation ba = TemporalRel({{"b", 2, 1, 4}, {"a", 1, 0, 5}});
+  Catalog one, two;
+  EXPECT_EQ(one.content_digest("R"), 0u);  // never registered
+  ASSERT_TRUE(one.RegisterWithInferredFlags("R", ab).ok());
+  ASSERT_TRUE(two.RegisterWithInferredFlags("X", ab).ok());
+  ASSERT_TRUE(two.RegisterWithInferredFlags("Y", ba).ok());
+  ASSERT_TRUE(two.RegisterWithInferredFlags("E", TemporalRel({})).ok());
+  // Equal lists give equal digests, across names and catalogs.
+  EXPECT_NE(one.content_digest("R"), 0u);
+  EXPECT_EQ(one.content_digest("R"), two.content_digest("X"));
+  // The digest is order-sensitive: a swapped list is a different list.
+  EXPECT_NE(two.content_digest("X"), two.content_digest("Y"));
+  EXPECT_NE(two.content_digest("E"), 0u);
+
+  // Update recomputes it, also when only one value changes.
+  CatalogEntry changed;
+  changed.data = TemporalRel({{"a", 1, 0, 5}, {"b", 3, 1, 4}});
+  ASSERT_TRUE(one.Update("R", changed).ok());
+  EXPECT_NE(one.content_digest("R"), two.content_digest("X"));
+  CatalogEntry back;
+  back.data = ab;
+  ASSERT_TRUE(one.Update("R", back).ok());
+  EXPECT_EQ(one.content_digest("R"), two.content_digest("X"));
+
+  // Drop clears it; re-registering the same list restores it.
+  uint64_t digest = one.content_digest("R");
+  ASSERT_TRUE(one.Drop("R"));
+  EXPECT_EQ(one.content_digest("R"), 0u);
+  ASSERT_TRUE(one.RegisterWithInferredFlags("R", ab).ok());
+  EXPECT_EQ(one.content_digest("R"), digest);
+
+  // A copy carries the digests with the data.
+  Catalog copy;
+  copy = two;
+  EXPECT_EQ(copy.content_digest("Y"), two.content_digest("Y"));
+}
+
 TEST(RelationTest, ToTableRendersAllCells) {
   Relation r = TemporalRel({{"a", 1, 0, 5}});
   std::string table = r.ToTable("title");

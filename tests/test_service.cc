@@ -3,10 +3,16 @@
 // cross-restart snapshot contract (warm import, wholesale staleness
 // rejection, corrupt-file errors, byte-identical warm-vs-cold results), and
 // the TCP server end to end (query streaming, error recovery on a live
-// connection, concurrent clients, clean shutdown). CI runs this suite under
-// TSan as well.
+// connection, hostile lines, concurrent clients, clean shutdown). CI runs
+// this suite under TSan as well.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -427,6 +433,72 @@ TEST(ServiceServerTest, ErrorFrameLeavesConnectionUsable) {
   EXPECT_FALSE(bad->ok);
   EXPECT_FALSE(bad->error.empty());
 
+  Result<QueryOutcome> good = client.RunQuery("SELECT Name FROM R");
+  ASSERT_TRUE(good.ok()) << good.status().message();
+  EXPECT_TRUE(good->ok) << good->error;
+  EXPECT_GT(good->rows, 0u);
+  server.Stop();
+  EXPECT_EQ(server.stats().errors, 1u);
+}
+
+TEST(ServiceServerTest, OutOfRangeLiteralIsAnErrorFrameNotACrash) {
+  Engine engine(ServiceCatalog());
+  Server server(&engine, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  ServiceClient client;
+  ASSERT_TRUE(client.Connect(server.host(), server.port()).ok());
+  Result<QueryOutcome> bad =
+      client.RunQuery("SELECT Name FROM R WHERE Val = 99999999999999999999999");
+  ASSERT_TRUE(bad.ok()) << bad.status().message();
+  EXPECT_FALSE(bad->ok);
+  EXPECT_NE(bad->error.find("out of range"), std::string::npos) << bad->error;
+
+  Result<QueryOutcome> good = client.RunQuery("SELECT Name FROM R");
+  ASSERT_TRUE(good.ok()) << good.status().message();
+  EXPECT_TRUE(good->ok) << good->error;
+  EXPECT_GT(good->rows, 0u);
+  server.Stop();
+  EXPECT_EQ(server.stats().errors, 1u);
+}
+
+TEST(ServiceServerTest, OversizedLineGetsErrorFrameAndClose) {
+  Engine engine(ServiceCatalog());
+  Server server(&engine, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  // A raw client that never sends a newline.
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, server.host().c_str(), &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::string line(kMaxLineBytes + 16 * 1024, 'x');
+  size_t off = 0;
+  while (off < line.size()) {
+    ssize_t n = ::send(fd, line.data() + off, line.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    off += static_cast<size_t>(n);
+  }
+  // The server answers with one error frame, then closes (recv hits EOF).
+  std::string reply;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    reply.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << "connection not closed cleanly";
+  ::close(fd);
+  EXPECT_EQ(reply.rfind("{\"type\":\"error\"", 0), 0u) << reply;
+  EXPECT_NE(reply.find("line exceeds"), std::string::npos) << reply;
+  EXPECT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+
+  // Another client is still served.
+  ServiceClient client;
+  ASSERT_TRUE(client.Connect(server.host(), server.port()).ok());
   Result<QueryOutcome> good = client.RunQuery("SELECT Name FROM R");
   ASSERT_TRUE(good.ok()) << good.status().message();
   EXPECT_TRUE(good->ok) << good->error;

@@ -127,6 +127,63 @@ TEST(ParserTest, RejectsBadSyntax) {
   EXPECT_FALSE(ParseQuery("SELECT a FROM t garbage").ok());
 }
 
+TEST(ParserTest, OutOfRangeNumericLiteralIsAnError) {
+  Result<QueryAst> big =
+      ParseQuery("SELECT Name FROM R WHERE Val = 99999999999999999999999");
+  ASSERT_FALSE(big.ok());
+  EXPECT_NE(big.status().message().find("out of range"), std::string::npos)
+      << big.status().message();
+  std::string huge_double = "SELECT Name FROM R WHERE Val = 1" +
+                            std::string(400, '0') + ".5";
+  EXPECT_FALSE(ParseQuery(huge_double).ok());
+  // The extremes that fit still parse.
+  Result<QueryAst> max = ParseQuery(
+      "SELECT Name FROM R WHERE Val = 9223372036854775807 AND Val < 1.5");
+  ASSERT_TRUE(max.ok()) << max.status().message();
+  const ExprPtr& eq = max->stmts[0].where->children()[0];
+  EXPECT_EQ(eq->children()[1]->constant(), Value::Int(INT64_MAX));
+}
+
+TEST(ParserTest, NestingDeeperThanTheLimitIsAnError) {
+  // Built in memory: 200k nested NOT once overflowed the stack of the
+  // recursive-descent parser.
+  std::string nots = "SELECT Name FROM R WHERE ";
+  for (int i = 0; i < 200000; ++i) nots += "NOT ";
+  nots += "Val = 1";
+  Result<QueryAst> deep = ParseQuery(nots);
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.status().message().find("nested deeper"), std::string::npos)
+      << deep.status().message();
+
+  std::string parens = "SELECT Name FROM R WHERE " +
+                       std::string(200000, '(') + "Val = 1" +
+                       std::string(200000, ')');
+  EXPECT_FALSE(ParseQuery(parens).ok());
+
+  // Flat chains build deep trees too; their height is bounded the same way.
+  std::string chain = "SELECT Name FROM R WHERE Val = 1";
+  for (int i = 0; i < 100000; ++i) chain += " AND Val = 1";
+  EXPECT_FALSE(ParseQuery(chain).ok());
+  std::string sum = "SELECT Name FROM R WHERE Val = 1";
+  for (int i = 0; i < 100000; ++i) sum += " + 1";
+  EXPECT_FALSE(ParseQuery(sum).ok());
+  std::string unions = "SELECT Name FROM R";
+  for (int i = 0; i < 100000; ++i) unions += " UNION ALL SELECT Name FROM R";
+  EXPECT_FALSE(ParseQuery(unions).ok());
+  std::string from = "SELECT Name FROM R";
+  for (int i = 0; i < 100000; ++i) from += ", R";
+  EXPECT_FALSE(ParseQuery(from).ok());
+
+  // Within the limit, nesting still parses (each NOT and each '(' is one
+  // level).
+  std::string ok = "SELECT Name FROM R WHERE ";
+  for (uint32_t i = 0; i + 4 < kMaxNesting / 2; ++i) ok += "NOT (";
+  ok += "Val = 1";
+  for (uint32_t i = 0; i + 4 < kMaxNesting / 2; ++i) ok += ")";
+  Result<QueryAst> fine = ParseQuery(ok);
+  EXPECT_TRUE(fine.ok()) << fine.status().message();
+}
+
 TEST(TranslatorTest, PaperQueryMatchesTheHandBuiltInitialPlan) {
   // The TQL mapping of the running example must produce exactly the
   // Figure 2(a) operator tree.
@@ -146,10 +203,13 @@ TEST(TranslatorTest, ContractFollowsDistinctAndOrderBy) {
   ASSERT_TRUE(multiset.ok());
   EXPECT_EQ(multiset->contract.result_type, ResultType::kMultiset);
 
+  // DISTINCT without ORDER BY keeps ≡M over its root rdup: a set contract
+  // would let the optimizer drop that rdup (see the translator).
   Result<TranslatedQuery> set =
       CompileQuery("SELECT DISTINCT EmpName FROM EMPLOYEE", catalog);
   ASSERT_TRUE(set.ok());
-  EXPECT_EQ(set->contract.result_type, ResultType::kSet);
+  EXPECT_EQ(set->contract.result_type, ResultType::kMultiset);
+  EXPECT_EQ(set->plan->child(0)->kind(), OpKind::kRdup);
 
   Result<TranslatedQuery> list = CompileQuery(
       "SELECT DISTINCT EmpName FROM EMPLOYEE ORDER BY EmpName", catalog);
