@@ -243,18 +243,14 @@ Engine::Engine(Catalog catalog, EngineOptions options)
   }
   // Per-query metric pointers, resolved once: the hot path only does
   // relaxed atomic adds against them.
-  if (options_.publish_metrics) {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    metric_queries_ =
-        reg.GetCounter("tqp_queries_total", "Queries executed by the engine");
-    metric_rows_ =
-        reg.GetCounter("tqp_query_rows_total", "Result rows produced");
-    metric_slow_ = reg.GetCounter(
-        "tqp_slow_queries_total",
-        "Queries at or above the slow-query threshold");
-    metric_latency_ = reg.GetHistogram(
-        "tqp_query_latency_us", "Executor wall time per query (microseconds)");
-  }
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  metric_queries_ =
+      reg.GetCounter("tqp_queries_total", "Queries executed by the engine");
+  metric_rows_ = reg.GetCounter("tqp_query_rows_total", "Result rows produced");
+  metric_slow_ = reg.GetCounter(
+      "tqp_slow_queries_total", "Queries at or above the slow-query threshold");
+  metric_latency_ = reg.GetHistogram(
+      "tqp_query_latency_us", "Executor wall time per query (microseconds)");
 }
 
 Engine::~Engine() = default;
@@ -631,12 +627,10 @@ Result<QueryResult> Engine::ExecuteState(const PreparedQuery::State& state,
   out.plan_cache_hit = from_cache;
   out.exec_wall_ns = wall_ns;
   if (want_profile) out.profile = profile_root;
-  if (metric_queries_ != nullptr) {
-    metric_queries_->Add(1);
-    metric_rows_->Add(static_cast<uint64_t>(out.relation.size()));
-    metric_latency_->Record(wall_ns / 1000);
-    if (slow) metric_slow_->Add(1);
-  }
+  metric_queries_->Add(1);
+  metric_rows_->Add(static_cast<uint64_t>(out.relation.size()));
+  metric_latency_->Record(wall_ns / 1000);
+  if (slow) metric_slow_->Add(1);
   return out;
 }
 
@@ -828,68 +822,6 @@ size_t Engine::ImportPlanCache(const PlanCacheSnapshot& snapshot) {
 uint64_t Engine::CatalogFingerprint() const {
   std::shared_lock<std::shared_mutex> cat(catalog_mu_);
   return FingerprintCatalog(catalog_);
-}
-
-std::string EngineStats::ToJson() const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("prepares").Uint(prepares);
-  w.Key("plan_cache_hits").Uint(plan_cache_hits);
-  w.Key("plan_cache_misses").Uint(plan_cache_misses);
-  w.Key("plan_cache_evictions").Uint(plan_cache_evictions);
-  w.Key("plan_cache_stale_evictions").Uint(plan_cache_stale_evictions);
-  w.Key("plan_cache_imports").Uint(plan_cache_imports);
-  w.Key("invalidations").Uint(invalidations);
-  w.Key("peak_concurrent_queries").Uint(peak_concurrent_queries);
-  w.Key("plan_cache_entries").Uint(plan_cache_entries);
-  w.Key("interner_nodes").Uint(interner_nodes);
-  w.Key("interner_hits").Uint(interner_hits);
-  w.Key("derivation_nodes").Uint(derivation_nodes);
-  w.Key("backend").String(backend_name);
-  w.Key("backend_pushdowns").Uint(backend_pushdowns);
-  w.Key("backend_rows").Uint(backend_rows);
-  w.Key("backend_fallbacks").Uint(backend_fallbacks);
-  w.Key("backend_refusals").Uint(backend_refusals);
-  w.Key("calibration_fingerprint").Uint(calibration_fingerprint);
-  w.Key("slow_queries").Uint(slow_queries);
-  w.Key("result_cache_hits").Uint(result_cache_hits);
-  w.Key("result_cache_misses").Uint(result_cache_misses);
-  w.Key("result_cache_evictions").Uint(result_cache_evictions);
-  w.Key("result_cache_entries").Uint(result_cache_entries);
-  w.Key("result_cache_bytes").Uint(result_cache_bytes);
-  w.EndObject();
-  return w.Take();
-}
-
-void EngineStats::PublishTo(MetricsRegistry* registry) const {
-  // Gauges, not counters: a stats snapshot is already cumulative, and
-  // setting is idempotent under repeated publication. One helper keeps the
-  // name scheme uniform.
-  auto set = [registry](const char* name, uint64_t v) {
-    registry->GetGauge(name)->Set(static_cast<double>(v));
-  };
-  set("tqp_engine_prepares", prepares);
-  set("tqp_engine_plan_cache_hits", plan_cache_hits);
-  set("tqp_engine_plan_cache_misses", plan_cache_misses);
-  set("tqp_engine_plan_cache_evictions", plan_cache_evictions);
-  set("tqp_engine_plan_cache_stale_evictions", plan_cache_stale_evictions);
-  set("tqp_engine_plan_cache_imports", plan_cache_imports);
-  set("tqp_engine_invalidations", invalidations);
-  set("tqp_engine_peak_concurrent_queries", peak_concurrent_queries);
-  set("tqp_engine_plan_cache_entries", plan_cache_entries);
-  set("tqp_engine_interner_nodes", interner_nodes);
-  set("tqp_engine_interner_hits", interner_hits);
-  set("tqp_engine_derivation_nodes", derivation_nodes);
-  set("tqp_engine_backend_pushdowns", backend_pushdowns);
-  set("tqp_engine_backend_rows", backend_rows);
-  set("tqp_engine_backend_fallbacks", backend_fallbacks);
-  set("tqp_engine_backend_refusals", backend_refusals);
-  set("tqp_engine_slow_queries", slow_queries);
-  set("tqp_engine_result_cache_hits", result_cache_hits);
-  set("tqp_engine_result_cache_misses", result_cache_misses);
-  set("tqp_engine_result_cache_evictions", result_cache_evictions);
-  set("tqp_engine_result_cache_entries", result_cache_entries);
-  set("tqp_engine_result_cache_bytes", result_cache_bytes);
 }
 
 std::vector<SlowQueryRecord> Engine::slow_queries() const {

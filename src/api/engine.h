@@ -54,6 +54,7 @@
 
 #include "algebra/intern.h"
 #include "backend/backend.h"
+#include "core/metrics.h"
 #include "core/sync.h"
 #include "exec/evaluator.h"
 #include "opt/optimizer.h"
@@ -62,9 +63,6 @@
 
 namespace tqp {
 
-class LatencyHistogram;
-class MetricCounter;
-class MetricsRegistry;
 class Tracer;
 
 /// Which physical executor runs chosen plans.
@@ -179,11 +177,6 @@ struct EngineOptions {
   /// Arming the log forces profiling for every query (that is where
   /// "hottest" comes from). 0 (default) = off.
   double slow_query_threshold_ms = 0.0;
-  /// Publish per-query counters (tqp_queries_total, tqp_query_rows_total,
-  /// tqp_query_latency_us, tqp_slow_queries_total) into
-  /// MetricsRegistry::Global() as queries run. On by default — the update
-  /// path is a handful of relaxed atomics per query, never per row.
-  bool publish_metrics = true;
 };
 
 /// Per-call observability opt-ins for Engine::Query and
@@ -285,15 +278,47 @@ struct EngineStats {
   uint64_t result_cache_entries = 0;
   uint64_t result_cache_bytes = 0;
 
-  /// One flat JSON object with every counter above — the rendering the
-  /// service's \stats command and the bench JSON both embed.
-  std::string ToJson() const;
+  /// The one declaration of the rendered fields, in JSON order (see
+  /// core/metrics.h): the backend name and the calibration fingerprint are
+  /// JSON-only.
+  template <class F>
+  void ForEachField(F&& f) const {
+    f("prepares", prepares);
+    f("plan_cache_hits", plan_cache_hits);
+    f("plan_cache_misses", plan_cache_misses);
+    f("plan_cache_evictions", plan_cache_evictions);
+    f("plan_cache_stale_evictions", plan_cache_stale_evictions);
+    f("plan_cache_imports", plan_cache_imports);
+    f("invalidations", invalidations);
+    f("peak_concurrent_queries", peak_concurrent_queries);
+    f("plan_cache_entries", plan_cache_entries);
+    f("interner_nodes", interner_nodes);
+    f("interner_hits", interner_hits);
+    f("derivation_nodes", derivation_nodes);
+    f("backend", backend_name);
+    f("backend_pushdowns", backend_pushdowns);
+    f("backend_rows", backend_rows);
+    f("backend_fallbacks", backend_fallbacks);
+    f("backend_refusals", backend_refusals);
+    f("calibration_fingerprint", JsonOnly{calibration_fingerprint});
+    f("slow_queries", slow_queries);
+    f("result_cache_hits", result_cache_hits);
+    f("result_cache_misses", result_cache_misses);
+    f("result_cache_evictions", result_cache_evictions);
+    f("result_cache_entries", result_cache_entries);
+    f("result_cache_bytes", result_cache_bytes);
+  }
 
-  /// Publishes every counter above into `registry` as tqp_engine_* gauges.
-  /// Gauges are *set*, not accumulated, so republishing the same snapshot is
-  /// idempotent — callers refresh on demand (the service does it per
-  /// \metrics request).
-  void PublishTo(MetricsRegistry* registry) const;
+  /// One flat JSON object with every field above — the rendering the
+  /// service's \stats command and the bench JSON both embed.
+  std::string ToJson() const { return StatsToJson(*this); }
+
+  /// Publishes every numeric field above into `registry` as tqp_engine_*
+  /// gauges. Republishing the same snapshot is idempotent — callers refresh
+  /// on demand (the service does it per \metrics request).
+  void PublishTo(MetricsRegistry* registry) const {
+    PublishStats(*this, "tqp_engine_", registry);
+  }
 };
 
 /// One slow-query log entry (EngineOptions::slow_query_threshold_ms).
@@ -631,9 +656,11 @@ class Engine {
   EngineStats stats_;
   /// Bounded slow-query log, oldest at the front. Guarded by state_mu_.
   std::deque<SlowQueryRecord> slow_log_;
-  /// Cached MetricsRegistry::Global() pointers (EngineOptions::
-  /// publish_metrics); all null when publishing is off. Registry entries are
-  /// never removed, so the pointers stay valid for the process lifetime.
+  /// Cached MetricsRegistry::Global() pointers for the per-query counters
+  /// (tqp_queries_total, tqp_query_rows_total, tqp_query_latency_us,
+  /// tqp_slow_queries_total): a handful of relaxed atomics per query, never
+  /// per row. Registry entries are never removed, so the pointers stay valid
+  /// for the process lifetime.
   MetricCounter* metric_queries_ = nullptr;
   MetricCounter* metric_rows_ = nullptr;
   MetricCounter* metric_slow_ = nullptr;

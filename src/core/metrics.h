@@ -22,7 +22,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 
+#include "core/json.h"
 #include "core/latency_histogram.h"
 
 namespace tqp {
@@ -108,6 +110,51 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
 };
+
+/// A stats field rendered in JSON but never published as a gauge: an
+/// identity or fingerprint that a double-valued gauge would garble.
+struct JsonOnly {
+  uint64_t value;
+};
+
+/// The flat stats structs (EngineStats, ServerStats) declare each field once,
+/// in `template <class F> void ForEachField(F&& f) const`, which calls
+/// f(key, value) per field in JSON order. Both renderings below are driven by
+/// it, so the JSON keys and the gauge names cannot disagree.
+
+/// One flat JSON object: numbers for unsigned fields and JsonOnly, strings
+/// for std::string fields.
+template <class Stats>
+std::string StatsToJson(const Stats& stats) {
+  JsonWriter w;
+  w.BeginObject();
+  stats.ForEachField([&w](const char* key, const auto& v) {
+    using V = std::decay_t<decltype(v)>;
+    w.Key(key);
+    if constexpr (std::is_same_v<V, std::string>) {
+      w.String(v);
+    } else if constexpr (std::is_same_v<V, JsonOnly>) {
+      w.Uint(v.value);
+    } else {
+      w.Uint(v);
+    }
+  });
+  w.EndObject();
+  return w.Take();
+}
+
+/// Sets one `<prefix><key>` gauge per numeric field (strings and JsonOnly
+/// fields are skipped). Gauges, not counters: a stats snapshot is already
+/// cumulative, and setting is idempotent under repeated publication.
+template <class Stats>
+void PublishStats(const Stats& stats, const std::string& prefix,
+                  MetricsRegistry* registry) {
+  stats.ForEachField([&](const char* key, const auto& v) {
+    if constexpr (std::is_arithmetic_v<std::decay_t<decltype(v)>>) {
+      registry->GetGauge(prefix + key)->Set(static_cast<double>(v));
+    }
+  });
+}
 
 }  // namespace tqp
 

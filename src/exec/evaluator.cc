@@ -1,196 +1,59 @@
-// Plan-tree evaluation, site simulation, and cost accounting.
+// The reference executor: the plan driver over row Relations.
 #include "exec/evaluator.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
+#include <optional>
+#include <utility>
+#include <vector>
 
-#include "backend/backend.h"
 #include "backend/simulated_backend.h"
 #include "core/json.h"
-#include "core/profile.h"
-#include "core/trace.h"
-#include "exec/result_cache.h"
+#include "exec/plan_driver.h"
 
 namespace tqp {
 
 namespace {
 
-/// Executor tags folded into the result-cache contract fingerprint so the
-/// reference and vectorized executors never splice each other's
-/// intermediates (their root results agree by contract; their cut-point
-/// materializations are not required to).
-constexpr uint64_t kRefExecutorTag = 1;
+/// The reference executor's side of the plan driver (exec/plan_driver.h):
+/// rows are Relations, every operator is the list-semantics Eval* kernel.
+struct RowPolicy {
+  using Rows = Relation;
+  static constexpr const char* kCategory = "exec";
+  /// Folded into the result-cache contract fingerprint so the reference and
+  /// vectorized executors never splice each other's intermediates (their
+  /// root results agree by contract; their cut-point materializations are
+  /// not required to).
+  static constexpr uint64_t kExecutorTag = 1;
 
-struct TreeEvaluator {
-  const AnnotatedPlan& ann;
-  const EngineConfig& config;
-  ExecStats* stats;
-  /// Contract+executor digest, fixed for the whole evaluation.
-  uint64_t contract_fp =
-      ContractFingerprint(ann.contract(), kRefExecutorTag);
+  const Catalog& catalog;
 
-  /// Cut points where cached results are probed/installed: the transfer
-  /// boundaries (where the layered architecture materializes anyway) and
-  /// the root. Finer-grained caching would tax cold runs with a copy per
-  /// operator for results that can only be spliced at materialization
-  /// boundaries anyway.
-  bool IsCachePoint(const PlanPtr& node) const {
-    return node->kind() == OpKind::kTransferS ||
-           node->kind() == OpKind::kTransferD || node == ann.plan();
+  static size_t RowCount(const Relation& r) { return r.size(); }
+  static Relation FromRelation(Relation r) { return r; }
+  static Relation ToRelation(const Relation& r) { return r; }
+
+  static void Scramble(Relation* r, uint64_t seed, ExecStats* /*stats*/) {
+    SimulatedBackend::ScrambleRelation(r, seed);
+  }
+  static void AccountExtra(size_t /*consumed_rows*/, size_t /*out_rows*/,
+                           ExecStats* /*stats*/, ProfileNode* /*prof*/) {}
+  static std::optional<Result<Relation>> PreChildren(
+      PlanDriver<RowPolicy>& /*driver*/, const PlanPtr& /*node*/,
+      ProfileNode* /*prof*/) {
+    return std::nullopt;
   }
 
-  /// Per-node observability shell: times the node and stamps the profile /
-  /// emits a span when either is requested, then delegates. The common
-  /// (untraced, unprofiled) path is the two null tests.
-  Result<Relation> Eval(const PlanPtr& node, ProfileNode* prof) {
-    if (config.tracer == nullptr && prof == nullptr) {
-      return EvalCached(node, nullptr);
-    }
-    std::chrono::steady_clock::time_point t0;
-    if (prof != nullptr) t0 = std::chrono::steady_clock::now();
-    TraceSpan span(config.tracer, "exec", OpKindName(node->kind()));
-    Result<Relation> result = EvalCached(node, prof);
-    if (prof != nullptr) {
-      prof->op = node->Describe();
-      prof->kind = OpKindName(node->kind());
-      prof->wall_ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-      if (result.ok()) {
-        prof->rows_out = static_cast<int64_t>(result.value().size());
-      }
-    }
-    if (span.active() && result.ok()) {
-      span.Arg("rows", static_cast<uint64_t>(result.value().size()));
-    }
-    return result;
-  }
-
-  Result<Relation> EvalCached(const PlanPtr& node, ProfileNode* prof) {
-    if (config.result_cache == nullptr || !IsCachePoint(node)) {
-      return EvalInner(node, prof);
-    }
-    SubplanCacheKey key =
-        MakeSubplanCacheKey(node, ann.info(node.get()), ann.catalog(),
-                            config.result_cache_env, contract_fp);
-    auto cached = [&] {
-      TraceSpan probe(config.tracer, "exec", "result_cache_probe");
-      auto c = config.result_cache->Lookup(key);
-      if (probe.active()) probe.Arg("hit", uint64_t{c ? 1u : 0u});
-      return c;
-    }();
-    if (cached) {
-      // Splice: the cached relation carries the bytes, list order, and
-      // order annotation the subtree would reproduce; nothing below the
-      // cut is accounted (it did not run).
-      if (stats != nullptr) ++stats->result_cache_hits;
-      if (prof != nullptr) prof->result_cache_hit = true;
-      return *cached;
-    }
-    if (stats != nullptr) ++stats->result_cache_misses;
-    TQP_ASSIGN_OR_RETURN(result, EvalInner(node, prof));
-    config.result_cache->Insert(key, result);
-    return result;
-  }
-
-  Result<Relation> EvalInner(const PlanPtr& node, ProfileNode* prof) {
-    const NodeInfo& info = ann.info(node.get());
-    // A transferS cut whose subtree the backend can run natively is fetched
-    // as one SQL statement instead of being evaluated here; only the
-    // transfer itself is accounted. A runtime failure falls back to the
-    // in-engine path below — pushdown is an optimization, never a
-    // correctness dependency.
-    if (node->kind() == OpKind::kTransferS && config.backend != nullptr &&
-        config.backend->SupportsPushdown()) {
-      if (CanPushCut(*config.backend, node->child(0), ann)) {
-        auto pushed = ExecuteCutPoint(*config.backend, node->child(0), ann,
-                                      config);
-        if (pushed.ok()) {
-          Relation result = std::move(pushed.value());
-          if (stats != nullptr) {
-            int64_t rows = static_cast<int64_t>(result.size());
-            ++stats->op_counts[OpKindName(node->kind())];
-            stats->tuples_produced += rows;
-            stats->tuples_transferred += rows;
-            stats->stratum_work +=
-                static_cast<double>(rows) * config.transfer_cost_per_tuple;
-            ++stats->backend_pushdowns;
-            stats->backend_rows += rows;
-          }
-          if (prof != nullptr) prof->backend_pushed = true;
-          result.set_order(info.order);
-          return result;
-        }
-        if (stats != nullptr) ++stats->backend_fallbacks;
-      } else if (stats != nullptr) {
-        // The serializer cannot express the subtree (distinct from a
-        // runtime SQL failure, which counts as a fallback above).
-        ++stats->backend_refusals;
-      }
-    }
-    std::vector<Relation> inputs;
-    for (const PlanPtr& c : node->children()) {
-      ProfileNode* cp = nullptr;
-      if (prof != nullptr) {
-        prof->children.emplace_back();
-        cp = &prof->children.back();
-      }
-      TQP_ASSIGN_OR_RETURN(r, Eval(c, cp));
-      inputs.push_back(std::move(r));
-    }
-    // Capture input sizes before Apply: transfers move their input out.
-    double in1 = inputs.empty() ? 0.0 : static_cast<double>(inputs[0].size());
-    double in2 =
-        inputs.size() < 2 ? 0.0 : static_cast<double>(inputs[1].size());
-    if (prof != nullptr) prof->rows_in = static_cast<int64_t>(in1 + in2);
-    TQP_ASSIGN_OR_RETURN(result, Apply(node, info, inputs));
-
-    if (stats != nullptr) {
-      ++stats->op_counts[OpKindName(node->kind())];
-      stats->tuples_produced += static_cast<int64_t>(result.size());
-      if (node->kind() == OpKind::kScan) {
-        in1 = static_cast<double>(result.size());
-      }
-      double units = OpWorkUnits(node->kind(), in1, in2,
-                                 static_cast<double>(result.size()));
-      if (node->kind() == OpKind::kTransferS ||
-          node->kind() == OpKind::kTransferD) {
-        stats->tuples_transferred += static_cast<int64_t>(in1);
-        stats->stratum_work += in1 * config.transfer_cost_per_tuple;
-      } else if (info.site == Site::kDbms) {
-        double penalty =
-            IsTemporalOp(node->kind()) ? config.dbms_temporal_penalty : 1.0;
-        stats->dbms_work += units * penalty;
-      } else {
-        stats->stratum_work += units * config.stratum_cpu_factor;
-      }
-    }
-
-    // Model the DBMS's freedom over result order (Section 4.5). The
-    // deterministic scramble lives in the simulated backend now; its output
-    // is a function of the tuple multiset only — any dependence of
-    // downstream results on the input *order* is thereby surfaced in tests.
-    if (config.dbms_scrambles_order && info.site == Site::kDbms &&
-        node->kind() != OpKind::kSort && node->kind() != OpKind::kScan &&
-        node->kind() != OpKind::kTransferD) {
-      TraceSpan scramble(config.tracer, "exec", "scramble");
-      if (scramble.active()) {
-        scramble.Arg("rows", static_cast<uint64_t>(result.size()));
-      }
-      SimulatedBackend::ScrambleRelation(&result, config.scramble_seed);
-    }
-
-    result.set_order(info.order);
-    return result;
-  }
-
+  /// Runs the node's kernel; the result carries the node's order annotation.
   Result<Relation> Apply(const PlanPtr& node, const NodeInfo& info,
                          std::vector<Relation>& in) {
+    TQP_ASSIGN_OR_RETURN(out, Kernel(node, info, in));
+    out.set_order(info.order);
+    return std::move(out);
+  }
+
+  Result<Relation> Kernel(const PlanPtr& node, const NodeInfo& info,
+                          std::vector<Relation>& in) {
     switch (node->kind()) {
       case OpKind::kScan: {
-        const CatalogEntry* e = ann.catalog().Find(node->rel_name());
+        const CatalogEntry* e = catalog.Find(node->rel_name());
         if (e == nullptr) return Status::NotFound(node->rel_name());
         return e->data;
       }
@@ -268,8 +131,9 @@ std::string ExecStats::ToJson() const {
 
 Result<Relation> Evaluate(const AnnotatedPlan& plan, const EngineConfig& config,
                           ExecStats* stats, ProfileNode* profile) {
-  TreeEvaluator ev{plan, config, stats};
-  return ev.Eval(plan.plan(), profile);
+  RowPolicy policy{plan.catalog()};
+  PlanDriver<RowPolicy> driver(plan, config, stats, policy);
+  return driver.Eval(plan.plan(), profile);
 }
 
 Result<Relation> EvaluatePlan(const PlanPtr& plan, const Catalog& catalog,

@@ -5,13 +5,16 @@
 // occurrence survives duplicate elimination, the order of difference
 // fragments, and the in-place replacement discipline of rdupT (Section 2.5).
 //
-// The evaluator also simulates the layered architecture: operators annotated
-// with the DBMS site execute in the "DBMS engine", whose non-sort results
-// have no guaranteed order (Section 4.5). To keep that honest rather than
-// notational, the engine can deterministically shuffle DBMS results
-// (EngineConfig::dbms_scrambles_order), so any rule or plan that incorrectly
-// relies on DBMS order fails tests. Cost accounting (simulated work units and
-// transfer volume) feeds the stratum-vs-DBMS placement benchmarks.
+// Evaluate runs these kernels through the plan driver (exec/plan_driver.h)
+// that the vectorized engine shares. The driver simulates the layered
+// architecture: operators annotated with the DBMS site execute in the "DBMS
+// engine", whose non-sort results have no guaranteed order (Section 4.5). To
+// keep that honest rather than notational, the engine can deterministically
+// shuffle DBMS results (EngineConfig::dbms_scrambles_order), so any rule or
+// plan that incorrectly relies on DBMS order fails tests. The driver also
+// splices cached cut-point results, pushes transferS cuts to the backend,
+// and does the cost accounting (simulated work units and transfer volume)
+// that feeds the stratum-vs-DBMS placement benchmarks.
 #ifndef TQP_EXEC_EVALUATOR_H_
 #define TQP_EXEC_EVALUATOR_H_
 
@@ -27,10 +30,10 @@
 namespace tqp {
 
 /// Simulated and measured execution statistics. The work/transfer/operator
-/// counters are filled identically by the reference evaluator and the
-/// vectorized engine (src/vexec) — both compute them from the same
-/// OpWorkUnits formulas; the vec_* counters are only non-zero on the
-/// vectorized path.
+/// counters are filled by the plan driver both executors share
+/// (exec/plan_driver.h), so they agree between the reference evaluator and
+/// the vectorized engine (src/vexec); the vec_* counters are only non-zero
+/// on the vectorized path.
 struct ExecStats {
   /// Abstract work units, split by site.
   double dbms_work = 0.0;

@@ -122,12 +122,6 @@ struct EnumerationOptions {
   /// (pruned pops do not count). 0 (default) = unlimited. Only the memo
   /// path enforces it.
   size_t max_expansions = 0;
-  /// Shard the memo by the root operator kind of the probed plan: each shard
-  /// is an independent hash table, so probes for plans of different root
-  /// kinds never touch the same structure. Sharding only routes probes; the
-  /// admitted plan sequence is byte-identical either way. The parallel
-  /// driver (num_threads > 1) always runs with the sharded memo.
-  bool shard_memo_by_root_kind = false;
   /// Threads for the memo search. 1 (default) runs the serial driver — the
   /// lock-free fast path, byte-identical to every earlier release. >1 runs
   /// the parallel driver: worker threads expand and materialize plans from

@@ -81,44 +81,6 @@ class CanonicalCache {
   std::unordered_map<const PlanNode*, std::string> memo_;
 };
 
-// The memo over admitted plans: fingerprint -> indices in result.plans,
-// optionally sharded by the probed plan's root-operator kind. Each shard is
-// an independent hash table, so probes for plans of different root kinds
-// never touch the same structure. Sharding only routes probes: the admitted
-// plan sequence is identical with sharding on or off, because a plan's root
-// kind is a pure function of the plan and every probe/insert for one plan
-// goes to the same shard. The parallel driver turns sharding on
-// unconditionally (its admission thread owns all shards; routing keeps the
-// buckets short).
-class MemoIndex {
- public:
-  MemoIndex(bool sharded, size_t reserve_hint)
-      : shards_(sharded ? kOpKindCount : 1) {
-    for (auto& shard : shards_) {
-      shard.reserve(reserve_hint / shards_.size() + 1);
-    }
-  }
-
-  const std::vector<size_t>* Find(OpKind root_kind, uint64_t fp) const {
-    const Shard& shard = shards_[ShardOf(root_kind)];
-    auto it = shard.find(fp);
-    return it == shard.end() ? nullptr : &it->second;
-  }
-
-  void Add(OpKind root_kind, uint64_t fp, size_t plan_index) {
-    shards_[ShardOf(root_kind)][fp].push_back(plan_index);
-  }
-
- private:
-  using Shard = std::unordered_map<uint64_t, std::vector<size_t>>;
-
-  size_t ShardOf(OpKind kind) const {
-    return shards_.size() == 1 ? 0 : static_cast<size_t>(kind);
-  }
-
-  std::vector<Shard> shards_;
-};
-
 // The frontier of unexpanded plan indices. Breadth-first consumes admitted
 // plans in index order (the exact Figure 5 worklist); best-first pops the
 // cheapest plan first, breaking cost ties on the admission index so repeated
@@ -174,7 +136,6 @@ struct CandidateEvent {
   PlanPath path;        // rewrite location in the expanded plan
   PlanPtr replacement;  // freshly built by the rule; interned at admission
   uint64_t fingerprint = 0;  // root fingerprint of the would-be plan
-  OpKind root_kind = OpKind::kScan;  // its memo shard
 
   // Filled by MaterializeEvent (parallel workers only): the interned
   // candidate with its validity and cost, so admission does no per-plan
@@ -202,7 +163,6 @@ inline void MaterializeEvent(CandidateEvent& ev, const PlanPtr& parent,
   ev.rewritten =
       interner.RewriteInterned(parent, ev.path, std::move(ev.replacement));
   TQP_DCHECK(ev.rewritten->fingerprint() == ev.fingerprint);
-  TQP_DCHECK(ev.rewritten->kind() == ev.root_kind);
   ev.valid = cache.Derive(ev.rewritten, catalog, options.cardinality).ok();
   if (costing && ev.valid) {
     ev.cost = EstimatePlanCost(ev.rewritten, cost_ctx, options.cost_engine);
@@ -348,15 +308,11 @@ class PlanExpander {
         ev.outcome = CandidateEvent::Outcome::kSizeCapped;
       } else {
         // The candidate's identity is known without materializing anything:
-        // FingerprintAtPath walks the spine without constructing a node, and
-        // a root rewrite adopts the replacement's kind while any deeper
-        // rewrite keeps the plan's.
+        // FingerprintAtPath walks the spine without constructing a node.
         ev.outcome = CandidateEvent::Outcome::kCandidate;
         ev.path = loc.path;
         ev.fingerprint = FingerprintAtPath(plan, loc.path,
                                            match->replacement->fingerprint());
-        ev.root_kind =
-            loc.path.empty() ? match->replacement->kind() : plan->kind();
         ev.replacement = std::move(match->replacement);
       }
     }
@@ -395,8 +351,6 @@ class SearchState {
         best_first_(options.strategy == SearchStrategy::kBestFirst),
         costing_(pruning_ || best_first_),
         prune_factor_(options.cost_prune_factor),
-        memo_(options.shard_memo_by_root_kind,
-              std::min<size_t>(options.max_plans, 4096)),
         frontier_(best_first_),
         // Costing runs against a context backed solely by the shared
         // derivation cache: each plan is costed right after it is derived,
@@ -413,7 +367,8 @@ class SearchState {
     size_cap_ = root->subtree_size() + options_.max_plan_growth;
     result_.plans.push_back(
         EnumeratedPlan{root, CanonOf(root), root->fingerprint(), -1, ""});
-    memo_.Add(root->kind(), root->fingerprint(), 0);
+    memo_.reserve(std::min<size_t>(options_.max_plans, 4096) + 1);
+    memo_[root->fingerprint()].push_back(0);
     if (costing_) {
       // The root is costed only now, after cache.Derive(root) above made its
       // bottom-up facts (cardinalities, sites) available.
@@ -479,7 +434,6 @@ class SearchState {
       ev.rewritten =
           interner_.RewriteInterned(plan, ev.path, std::move(ev.replacement));
       TQP_DCHECK(ev.rewritten->fingerprint() == ev.fingerprint);
-      TQP_DCHECK(ev.rewritten->kind() == ev.root_kind);
       // Validate: only nodes the cache has never seen (the rebuilt spine)
       // are actually derived; a cached node heads a known-valid subtree.
       ev.valid = cache_.Derive(ev.rewritten, catalog_, options_.cardinality).ok();
@@ -554,9 +508,8 @@ class SearchState {
     }
     ++result_.admitted;
 
-    if (const std::vector<size_t>* bucket =
-            memo_.Find(ev.root_kind, ev.fingerprint)) {
-      for (size_t idx : *bucket) {
+    if (auto bucket = memo_.find(ev.fingerprint); bucket != memo_.end()) {
+      for (size_t idx : bucket->second) {
         if (confirm(result_.plans[idx].plan)) {
           ++result_.memo_hits;
           return true;
@@ -568,7 +521,7 @@ class SearchState {
       return true;  // invalid composition; not memoized
     }
     size_t new_index = result_.plans.size();
-    memo_.Add(ev.root_kind, ev.fingerprint, new_index);
+    memo_[ev.fingerprint].push_back(new_index);
     result_.plans.push_back(EnumeratedPlan{ev.rewritten, CanonOf(ev.rewritten),
                                            ev.fingerprint,
                                            static_cast<int>(p),
@@ -620,7 +573,8 @@ class SearchState {
   double prune_factor_;
 
   EnumerationResult result_;
-  MemoIndex memo_;
+  /// The memo over admitted plans: fingerprint -> indices in result.plans.
+  std::unordered_map<uint64_t, std::vector<size_t>> memo_;
   Frontier frontier_;
   CanonicalCache canon_;
   PlanContext cost_ctx_;

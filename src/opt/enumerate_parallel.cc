@@ -26,8 +26,6 @@
 // byte-identical to the serial driver. Speculation can only waste worker
 // time (a pruned or truncated plan's expansion is discarded) — it never
 // changes the outcome; only the interner/cache *session totals* reflect it.
-// The memo is always root-kind sharded here (routing keeps the buckets
-// short; sharding is sequence-neutral, see MemoIndex).
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -113,10 +111,8 @@ Result<EnumerationResult> EnumerateMemoParallel(
     return Status::InvalidArgument("initial plan too large when unfolded");
   }
 
-  EnumerationOptions opts = options;
-  opts.shard_memo_by_root_kind = true;
-  size_t num_threads = opts.num_threads != 0
-                           ? opts.num_threads
+  size_t num_threads = options.num_threads != 0
+                           ? options.num_threads
                            : std::max<size_t>(
                                  1, std::thread::hardware_concurrency());
   TQP_CHECK(num_threads >= 2);
@@ -131,7 +127,7 @@ Result<EnumerationResult> EnumerateMemoParallel(
   interner.EnableConcurrentAccess();
   cache.EnableConcurrentAccess();
 
-  SearchState state(catalog, contract, opts, interner, cache);
+  SearchState state(catalog, contract, options, interner, cache);
   TQP_RETURN_IF_ERROR(state.Start(initial));
 
   // ---- Shared driver state (guarded by mu). ----
@@ -140,7 +136,7 @@ Result<EnumerationResult> EnumerateMemoParallel(
   // Workers wait for tasks; the admission thread waits for the slot it
   // needs — or for a task it can help with instead of idling.
   std::condition_variable cv;
-  WorkQueue queue(opts.strategy == SearchStrategy::kBestFirst);
+  WorkQueue queue(options.strategy == SearchStrategy::kBestFirst);
   std::deque<Slot> slots;  // index-aligned with result.plans
   bool shutdown = false;
 
@@ -160,7 +156,7 @@ Result<EnumerationResult> EnumerateMemoParallel(
                          std::vector<CandidateEvent>* events) -> Status {
     TQP_RETURN_IF_ERROR(expander.Expand(plan, events));
     for (CandidateEvent& ev : *events) {
-      MaterializeEvent(ev, plan, interner, cache, catalog, opts, costing,
+      MaterializeEvent(ev, plan, interner, cache, catalog, options, costing,
                        cost_ctx);
     }
     return Status::OK();
@@ -196,7 +192,7 @@ Result<EnumerationResult> EnumerateMemoParallel(
   };
 
   auto worker_loop = [&]() {
-    PlanExpander expander(cache, contract, rules, opts, state.size_cap());
+    PlanExpander expander(cache, contract, rules, options, state.size_cap());
     PlanContext cost_ctx(&cache, /*props=*/nullptr, &contract);
     std::unique_lock<std::mutex> lock(mu);
     while (true) {
@@ -214,7 +210,7 @@ Result<EnumerationResult> EnumerateMemoParallel(
   }
 
   // The admission thread's own expander, for plans it claims inline.
-  PlanExpander inline_expander(cache, contract, rules, opts,
+  PlanExpander inline_expander(cache, contract, rules, options,
                                state.size_cap());
   PlanContext inline_cost_ctx(&cache, /*props=*/nullptr, &contract);
 

@@ -143,6 +143,19 @@ class Reader {
     return static_cast<uint64_t>(v);
   }
 
+  /// Enters one plan or expression node. Both readers recurse per node, so
+  /// the nesting is bounded: an over-deep snapshot is a clean error, not a
+  /// stack overflow. An error abandons the read, so only the success paths
+  /// Leave().
+  Status Enter() {
+    if (++depth_ > kMaxSnapshotNesting) {
+      return Corrupt("nested deeper than " +
+                     std::to_string(kMaxSnapshotNesting) + " levels");
+    }
+    return Status::OK();
+  }
+  void Leave() { --depth_; }
+
   Result<double> Dbl() {
     TQP_ASSIGN_OR_RETURN(a, Atom());
     errno = 0;
@@ -169,6 +182,7 @@ class Reader {
 
   const std::string& s_;
   size_t pos_ = 0;
+  uint32_t depth_ = 0;
 };
 
 // ---- Values ----------------------------------------------------------------
@@ -257,34 +271,40 @@ void WriteExpr(std::string* out, const ExprPtr& e) {
   Close(out);
 }
 
-Result<ExprPtr> ReadExpr(Reader* r) {
-  TQP_RETURN_IF_ERROR(r->Expect('('));
-  TQP_ASSIGN_OR_RETURN(tag, r->Atom());
+// The readers recurse once per node, so each is split into a recursive
+// frame that holds only the node's head and its children, and non-recursive
+// helpers that parse the head and build the node: the recursion's stack
+// cost per level stays small even in sanitized builds.
 
+/// One expression node without its children.
+struct ExprHead {
+  std::string tag;
   std::string attr_name;
   Value constant;
   int64_t op = 0;
+};
+
+Status ReadExprHead(Reader* r, ExprHead* h) {
+  TQP_ASSIGN_OR_RETURN(tag, r->Atom());
+  h->tag = tag;
   if (tag == "attr") {
     TQP_ASSIGN_OR_RETURN(s, r->Str());
-    attr_name = s;
+    h->attr_name = s;
   } else if (tag == "const") {
     TQP_ASSIGN_OR_RETURN(v, ReadValue(r));
-    constant = v;
+    h->constant = v;
   } else if (tag == "cmp" || tag == "arith") {
     TQP_ASSIGN_OR_RETURN(o, r->Int());
-    op = o;
+    h->op = o;
   } else if (tag != "and" && tag != "or" && tag != "not" &&
              tag != "overlaps") {
     return Status::Error("plan store: unknown expression tag '" + tag + "'");
   }
+  return Status::OK();
+}
 
-  std::vector<ExprPtr> children;
-  while (!r->PeekClose()) {
-    TQP_ASSIGN_OR_RETURN(c, ReadExpr(r));
-    children.push_back(c);
-  }
-  TQP_RETURN_IF_ERROR(r->Expect(')'));
-
+Result<ExprPtr> BuildExpr(ExprHead& h, const std::vector<ExprPtr>& children) {
+  const std::string& tag = h.tag;
   auto arity = [&](size_t n) -> Status {
     if (children.size() != n) {
       return Status::Error("plan store: expression '" + tag + "' expects " +
@@ -296,18 +316,18 @@ Result<ExprPtr> ReadExpr(Reader* r) {
 
   if (tag == "attr") {
     TQP_RETURN_IF_ERROR(arity(0));
-    return Expr::Attr(std::move(attr_name));
+    return Expr::Attr(std::move(h.attr_name));
   }
   if (tag == "const") {
     TQP_RETURN_IF_ERROR(arity(0));
-    return Expr::Const(std::move(constant));
+    return Expr::Const(std::move(h.constant));
   }
   if (tag == "cmp") {
     TQP_RETURN_IF_ERROR(arity(2));
-    if (op < 0 || op > static_cast<int64_t>(CompareOp::kGe)) {
+    if (h.op < 0 || h.op > static_cast<int64_t>(CompareOp::kGe)) {
       return Status::Error("plan store: compare op out of range");
     }
-    return Expr::Compare(static_cast<CompareOp>(op), children[0], children[1]);
+    return Expr::Compare(static_cast<CompareOp>(h.op), children[0], children[1]);
   }
   if (tag == "and") {
     TQP_RETURN_IF_ERROR(arity(2));
@@ -323,14 +343,29 @@ Result<ExprPtr> ReadExpr(Reader* r) {
   }
   if (tag == "arith") {
     TQP_RETURN_IF_ERROR(arity(2));
-    if (op < 0 || op > static_cast<int64_t>(ArithOp::kDiv)) {
+    if (h.op < 0 || h.op > static_cast<int64_t>(ArithOp::kDiv)) {
       return Status::Error("plan store: arith op out of range");
     }
-    return Expr::Arith(static_cast<ArithOp>(op), children[0], children[1]);
+    return Expr::Arith(static_cast<ArithOp>(h.op), children[0], children[1]);
   }
   // overlaps
   TQP_RETURN_IF_ERROR(arity(4));
   return Expr::Overlaps(children[0], children[1], children[2], children[3]);
+}
+
+Result<ExprPtr> ReadExpr(Reader* r) {
+  TQP_RETURN_IF_ERROR(r->Enter());
+  TQP_RETURN_IF_ERROR(r->Expect('('));
+  ExprHead head;
+  TQP_RETURN_IF_ERROR(ReadExprHead(r, &head));
+  std::vector<ExprPtr> children;
+  while (!r->PeekClose()) {
+    TQP_ASSIGN_OR_RETURN(c, ReadExpr(r));
+    children.push_back(c);
+  }
+  TQP_RETURN_IF_ERROR(r->Expect(')'));
+  r->Leave();
+  return BuildExpr(head, children);
 }
 
 // ---- Sort specs and contracts ----------------------------------------------
@@ -445,31 +480,35 @@ void WritePlanNode(std::string* out, const PlanPtr& p) {
   Close(out);
 }
 
-Result<PlanPtr> ReadPlanNode(Reader* r) {
-  TQP_RETURN_IF_ERROR(r->Expect('('));
-  TQP_ASSIGN_OR_RETURN(name, r->Atom());
-  auto it = KindByName().find(name);
-  if (it == KindByName().end()) {
-    return Status::Error("plan store: unknown operator '" + name + "'");
-  }
-  const OpKind kind = it->second;
-
+/// One plan node without its children.
+struct PlanHead {
+  std::string name;
+  OpKind kind = OpKind::kScan;
   std::string rel_name;
   ExprPtr predicate;
   std::vector<ProjItem> items;
   std::vector<std::string> group_by;
   std::vector<AggSpec> aggs;
   SortSpec sort_spec;
+};
 
-  switch (kind) {
+Status ReadPlanHead(Reader* r, PlanHead* h) {
+  TQP_ASSIGN_OR_RETURN(name, r->Atom());
+  auto it = KindByName().find(name);
+  if (it == KindByName().end()) {
+    return Status::Error("plan store: unknown operator '" + name + "'");
+  }
+  h->name = name;
+  h->kind = it->second;
+  switch (h->kind) {
     case OpKind::kScan: {
       TQP_ASSIGN_OR_RETURN(s, r->Str());
-      rel_name = s;
+      h->rel_name = s;
       break;
     }
     case OpKind::kSelect: {
       TQP_ASSIGN_OR_RETURN(e, ReadExpr(r));
-      predicate = e;
+      h->predicate = e;
       break;
     }
     case OpKind::kProject: {
@@ -479,7 +518,7 @@ Result<PlanPtr> ReadPlanNode(Reader* r) {
       while (!r->PeekClose()) {
         TQP_ASSIGN_OR_RETURN(n, r->Str());
         TQP_ASSIGN_OR_RETURN(e, ReadExpr(r));
-        items.push_back(ProjItem{e, n});
+        h->items.push_back(ProjItem{e, n});
       }
       TQP_RETURN_IF_ERROR(r->Expect(')'));
       break;
@@ -491,7 +530,7 @@ Result<PlanPtr> ReadPlanNode(Reader* r) {
       if (gtag != "group") return Status::Error("plan store: expected group");
       while (!r->PeekClose()) {
         TQP_ASSIGN_OR_RETURN(g, r->Str());
-        group_by.push_back(g);
+        h->group_by.push_back(g);
       }
       TQP_RETURN_IF_ERROR(r->Expect(')'));
       TQP_RETURN_IF_ERROR(r->Expect('('));
@@ -504,46 +543,43 @@ Result<PlanPtr> ReadPlanNode(Reader* r) {
         }
         TQP_ASSIGN_OR_RETURN(attr, r->Str());
         TQP_ASSIGN_OR_RETURN(out_name, r->Str());
-        aggs.push_back(AggSpec{static_cast<AggFunc>(f), attr, out_name});
+        h->aggs.push_back(AggSpec{static_cast<AggFunc>(f), attr, out_name});
       }
       TQP_RETURN_IF_ERROR(r->Expect(')'));
       break;
     }
     case OpKind::kSort: {
       TQP_ASSIGN_OR_RETURN(s, ReadSortSpec(r));
-      sort_spec = std::move(s);
+      h->sort_spec = std::move(s);
       break;
     }
     default:
       break;
   }
+  return Status::OK();
+}
 
-  std::vector<PlanPtr> children;
-  while (!r->PeekClose()) {
-    TQP_ASSIGN_OR_RETURN(c, ReadPlanNode(r));
-    children.push_back(c);
-  }
-  TQP_RETURN_IF_ERROR(r->Expect(')'));
-
+Result<PlanPtr> BuildPlanNode(PlanHead& h,
+                              const std::vector<PlanPtr>& children) {
   auto arity = [&](size_t n) -> Status {
     if (children.size() != n) {
-      return Status::Error("plan store: operator '" + name + "' expects " +
+      return Status::Error("plan store: operator '" + h.name + "' expects " +
                            std::to_string(n) + " children, got " +
                            std::to_string(children.size()));
     }
     return Status::OK();
   };
 
-  switch (kind) {
+  switch (h.kind) {
     case OpKind::kScan:
       TQP_RETURN_IF_ERROR(arity(0));
-      return PlanNode::Scan(std::move(rel_name));
+      return PlanNode::Scan(std::move(h.rel_name));
     case OpKind::kSelect:
       TQP_RETURN_IF_ERROR(arity(1));
-      return PlanNode::Select(children[0], predicate);
+      return PlanNode::Select(children[0], h.predicate);
     case OpKind::kProject:
       TQP_RETURN_IF_ERROR(arity(1));
-      return PlanNode::Project(children[0], std::move(items));
+      return PlanNode::Project(children[0], std::move(h.items));
     case OpKind::kUnionAll:
       TQP_RETURN_IF_ERROR(arity(2));
       return PlanNode::UnionAll(children[0], children[1]);
@@ -555,8 +591,8 @@ Result<PlanPtr> ReadPlanNode(Reader* r) {
       return PlanNode::Difference(children[0], children[1]);
     case OpKind::kAggregate:
       TQP_RETURN_IF_ERROR(arity(1));
-      return PlanNode::Aggregate(children[0], std::move(group_by),
-                                 std::move(aggs));
+      return PlanNode::Aggregate(children[0], std::move(h.group_by),
+                                 std::move(h.aggs));
     case OpKind::kRdup:
       TQP_RETURN_IF_ERROR(arity(1));
       return PlanNode::Rdup(children[0]);
@@ -568,8 +604,8 @@ Result<PlanPtr> ReadPlanNode(Reader* r) {
       return PlanNode::DifferenceT(children[0], children[1]);
     case OpKind::kAggregateT:
       TQP_RETURN_IF_ERROR(arity(1));
-      return PlanNode::AggregateT(children[0], std::move(group_by),
-                                  std::move(aggs));
+      return PlanNode::AggregateT(children[0], std::move(h.group_by),
+                                  std::move(h.aggs));
     case OpKind::kRdupT:
       TQP_RETURN_IF_ERROR(arity(1));
       return PlanNode::RdupT(children[0]);
@@ -581,7 +617,7 @@ Result<PlanPtr> ReadPlanNode(Reader* r) {
       return PlanNode::UnionT(children[0], children[1]);
     case OpKind::kSort:
       TQP_RETURN_IF_ERROR(arity(1));
-      return PlanNode::Sort(children[0], std::move(sort_spec));
+      return PlanNode::Sort(children[0], std::move(h.sort_spec));
     case OpKind::kCoalesce:
       TQP_RETURN_IF_ERROR(arity(1));
       return PlanNode::Coalesce(children[0]);
@@ -593,6 +629,21 @@ Result<PlanPtr> ReadPlanNode(Reader* r) {
       return PlanNode::TransferD(children[0]);
   }
   return Status::Error("plan store: unreachable operator kind");
+}
+
+Result<PlanPtr> ReadPlanNode(Reader* r) {
+  TQP_RETURN_IF_ERROR(r->Enter());
+  TQP_RETURN_IF_ERROR(r->Expect('('));
+  PlanHead head;
+  TQP_RETURN_IF_ERROR(ReadPlanHead(r, &head));
+  std::vector<PlanPtr> children;
+  while (!r->PeekClose()) {
+    TQP_ASSIGN_OR_RETURN(c, ReadPlanNode(r));
+    children.push_back(c);
+  }
+  TQP_RETURN_IF_ERROR(r->Expect(')'));
+  r->Leave();
+  return BuildPlanNode(head, children);
 }
 
 // v2 added the backend kind + calibration fingerprint to the header; a v1

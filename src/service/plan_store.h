@@ -20,16 +20,26 @@
 //
 // The file format is a private whitespace-separated token stream
 // (s-expressions with length-prefixed strings) — self-contained, versioned
-// by a leading magic atom, no third-party dependencies. A corrupt or
-// truncated file is a clean load error, never a crash or a partial import.
+// by a leading magic atom, no third-party dependencies. A corrupt,
+// truncated or over-deep file is a clean load error, never a crash or a
+// partial import.
 #ifndef TQP_SERVICE_PLAN_STORE_H_
 #define TQP_SERVICE_PLAN_STORE_H_
 
 #include <string>
 
 #include "api/engine.h"
+#include "tql/parser.h"
 
 namespace tqp {
+
+/// Deepest nesting of plan and expression nodes, counted together along any
+/// root-to-leaf path, that a snapshot may hold; a deeper snapshot is
+/// rejected wholesale as corrupt. The bound admits every plan the translator
+/// and optimizer emit from a statement within the parser's limits: a
+/// set-operation chain, a left-deep FROM product chain and a predicate each
+/// add at most kMaxNesting levels, the rest a handful.
+constexpr uint32_t kMaxSnapshotNesting = 4 * kMaxNesting;
 
 /// What LoadPlanCache found.
 struct PlanStoreLoadOutcome {

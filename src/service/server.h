@@ -101,11 +101,28 @@ struct ServerStats {
   /// Queries run with per-connection tracing on (\trace on).
   uint64_t traced_queries = 0;
 
-  std::string ToJson() const;
+  /// The one declaration of the rendered fields (see core/metrics.h).
+  template <class F>
+  void ForEachField(F&& f) const {
+    f("connections_total", connections_total);
+    f("connections_active", connections_active);
+    f("queries", queries);
+    f("errors", errors);
+    f("batches_sent", batches_sent);
+    f("rows_sent", rows_sent);
+    f("snapshots_written", snapshots_written);
+    f("plans_imported", plans_imported);
+    f("metrics_requests", metrics_requests);
+    f("traced_queries", traced_queries);
+  }
+
+  std::string ToJson() const { return StatsToJson(*this); }
 
   /// Publishes every counter above into `registry` as tqp_server_* gauges
   /// (idempotent set; the \metrics handler republishes per request).
-  void PublishTo(MetricsRegistry* registry) const;
+  void PublishTo(MetricsRegistry* registry) const {
+    PublishStats(*this, "tqp_server_", registry);
+  }
 };
 
 /// One server instance bound to one shared Engine. The Engine must outlive

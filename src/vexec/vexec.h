@@ -19,10 +19,12 @@
 // bench/bench_vexec_pipeline.cc (>= 5x rows/s over the reference evaluator
 // on a 1M-row coalesce + temporal-join + sort pipeline).
 //
-// ExecStats is shared with the reference evaluator: the per-site work,
-// transfer, and operator counters are computed from the same formulas, and
-// the vectorized path additionally fills the batch/materialization counters
-// (ExecStats::vec_batches / vec_materializations / vec_rows).
+// The kernels run through the plan driver the reference evaluator shares
+// (exec/plan_driver.h): profile/span stamping, the result-cache splice,
+// transferS pushdown, the per-site work, transfer, and operator counters,
+// and the DBMS scramble condition exist once. The vectorized policy adds
+// the batch/materialization counters (ExecStats::vec_batches /
+// vec_materializations / vec_rows) and the fused σ-over-× hash join.
 #ifndef TQP_VEXEC_VEXEC_H_
 #define TQP_VEXEC_VEXEC_H_
 

@@ -275,16 +275,6 @@ TEST(EnumerateCostTest, MaxExpansionsBudgetIsRespected) {
   EXPECT_EQ(all->expanded, all->plans.size());
 }
 
-TEST(EnumerateCostTest, ShardedMemoIsByteIdentical) {
-  EnumerationOptions plain = Options(SearchStrategy::kBreadthFirst, 1.5);
-  EnumerationOptions sharded = plain;
-  sharded.shard_memo_by_root_kind = true;
-  Result<EnumerationResult> a = RunSearch(plain);
-  Result<EnumerationResult> b = RunSearch(sharded);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ExpectIdenticalOutcome(a.value(), b.value());
-}
-
 TEST(EnumerateCostTest, LegacyPathRejectsBestFirst) {
   EnumerationOptions opts = Options(SearchStrategy::kBestFirst);
   opts.use_legacy_string_dedup = true;

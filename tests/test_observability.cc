@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <set>
 #include <string>
 #include <utility>
@@ -334,7 +335,8 @@ TEST(JsonParserTest, RejectsMalformedInput) {
   for (const char* bad : {"{", "{\"a\":}", "[1,]", "\"x", "{\"a\" 1}", "tru"}) {
     JsonValue v;
     std::string err;
-    JsonParser p{std::string(bad)};
+    const std::string text(bad);  // the parser keeps a reference
+    JsonParser p{text};
     EXPECT_FALSE(p.Parse(&v, &err)) << bad;
   }
 }
@@ -471,6 +473,35 @@ TEST(MetricsRegistryTest, EngineAndServerStatsPublishAsGauges) {
   // Republishing sets, never accumulates.
   es.PublishTo(&reg);
   EXPECT_DOUBLE_EQ(reg.GetGauge("tqp_engine_prepares")->value(), 7.0);
+}
+
+TEST(MetricsRegistryTest, EveryNumericStatsKeyHasAGauge) {
+  // Both renderings come from one field declaration per struct: every
+  // numeric JSON key is a tqp_engine_<key> / tqp_server_<key> gauge, and no
+  // gauge lacks a key. The backend name and the calibration fingerprint are
+  // JSON-only.
+  auto check = [](const std::string& json, const std::string& prefix,
+                  const std::function<void(MetricsRegistry*)>& publish) {
+    MetricsRegistry reg;
+    publish(&reg);
+    std::set<std::string> gauges = KeySet(MustParse(reg.ToJson()));
+    std::set<std::string> expected;
+    for (const auto& [key, value] : MustParse(json).object) {
+      if (value.kind == JsonValue::Kind::kNumber &&
+          key != "calibration_fingerprint") {
+        expected.insert(prefix + key);
+      }
+    }
+    EXPECT_EQ(gauges, expected);
+  };
+  EngineStats es;
+  check(es.ToJson(), "tqp_engine_",
+        [&](MetricsRegistry* reg) { es.PublishTo(reg); });
+  EXPECT_NE(es.ToJson().find("\"calibration_fingerprint\""),
+            std::string::npos);
+  ServerStats ss;
+  check(ss.ToJson(), "tqp_server_",
+        [&](MetricsRegistry* reg) { ss.PublishTo(reg); });
 }
 
 // ---- Golden key sets over every JSON surface -------------------------------

@@ -339,6 +339,114 @@ TEST(PlanStoreTest, CorruptFileIsAnErrorNotACrash) {
   std::remove(path.c_str());
 }
 
+TEST(PlanStoreTest, StatementsAtTheParserLimitsRoundTrip) {
+  // Every plan the translator and optimizer emit from a statement within
+  // the parser's limits must survive Export/Import: the snapshot reader's
+  // nesting bound may only refuse what no statement can produce.
+  Catalog catalog = ServiceCatalog();
+  for (uint32_t i = 0; i < kMaxNesting; ++i) {
+    Schema schema;
+    schema.Add(Attribute{"A" + std::to_string(i), ValueType::kInt});
+    Relation rel(schema);
+    Tuple t;
+    t.push_back(Value::Int(i));
+    rel.Append(std::move(t));
+    TQP_CHECK(catalog
+                  .RegisterWithInferredFlags("R" + std::to_string(i),
+                                             std::move(rel), Site::kDbms)
+                  .ok());
+  }
+  std::string nots;  // NOT height + comparison height == kMaxNesting
+  for (uint32_t i = 0; i + 2 < kMaxNesting; ++i) nots += "NOT ";
+  std::string ands = "Val = 1";  // AND-chain height == kMaxNesting
+  for (uint32_t i = 0; i + 2 < kMaxNesting; ++i) ands += " AND Val = 1";
+  std::string unions = "SELECT Name FROM R";
+  for (uint32_t i = 1; i < kMaxNesting; ++i) {
+    unions += " UNION ALL SELECT Name FROM R";
+  }
+  std::string from = "SELECT A0 FROM R0";
+  for (uint32_t i = 1; i < kMaxNesting; ++i) from += ", R" + std::to_string(i);
+  const std::vector<std::string> statements = {
+      "SELECT Name FROM R WHERE " + nots + "Val = 1",
+      "SELECT Name FROM R WHERE " + ands,
+      unions,
+      // A deep predicate over a 256-way product.
+      from + " WHERE " + nots + "A0 = 0",
+  };
+  // The depth comes from the statements, not the search; a small plan
+  // budget keeps the 256-way product quick to optimize.
+  EngineOptions options;
+  options.enumeration.max_plans = 16;
+  Engine engine(catalog, options);
+  for (const std::string& q : statements) {
+    ASSERT_TRUE(engine.Prepare(q).ok()) << q.substr(0, 80);
+  }
+  PlanCacheSnapshot snapshot = engine.ExportPlanCache();
+  ASSERT_EQ(snapshot.entries.size(), statements.size());
+  Result<PlanCacheSnapshot> back =
+      DeserializeSnapshot(SerializeSnapshot(snapshot));
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  ASSERT_EQ(back->entries.size(), statements.size());
+  for (size_t i = 0; i < statements.size(); ++i) {
+    ExpectSamePlan(back->entries[i].initial_plan,
+                   snapshot.entries[i].initial_plan);
+    ExpectSamePlan(back->entries[i].best_plan, snapshot.entries[i].best_plan);
+  }
+  Engine restarted(catalog);
+  EXPECT_EQ(restarted.ImportPlanCache(back.value()), statements.size());
+}
+
+TEST(PlanStoreTest, OverDeepSnapshotIsRejectedWholesale) {
+  // Built in memory: a hostile file nested a million levels deep would
+  // overflow the stack of an unbounded recursive reader.
+  auto nested = [](const std::string& open, size_t depth,
+                   const std::string& leaf) {
+    std::string out;
+    for (size_t i = 0; i < depth; ++i) out += open;
+    out += leaf;
+    out += std::string(depth, ')');
+    return out;
+  };
+  const std::string scan = "(scan \"1:R)";
+  // At the bound (the scan is one more level) the plan reads back.
+  EXPECT_TRUE(DeserializePlan(nested("(rdup ", kMaxSnapshotNesting - 1, scan))
+                  .ok());
+  Result<PlanPtr> over =
+      DeserializePlan(nested("(rdup ", kMaxSnapshotNesting, scan));
+  ASSERT_FALSE(over.ok());
+  EXPECT_NE(over.status().message().find("nested deeper"), std::string::npos)
+      << over.status().message();
+  EXPECT_FALSE(DeserializePlan(nested("(rdup ", 1000000, scan)).ok());
+  // Plan and expression levels count together.
+  EXPECT_FALSE(DeserializePlan(
+                   nested("(rdup ", kMaxSnapshotNesting / 2,
+                          "(select " + nested("(not ", kMaxSnapshotNesting / 2,
+                                              "(attr \"1:B)") +
+                              " " + scan + ")"))
+                   .ok());
+  EXPECT_FALSE(DeserializePlan("(select " + nested("(not ", 1000000,
+                                                   "(attr \"1:B)") +
+                               " " + scan + ")")
+                   .ok());
+
+  // One over-deep entry rejects the whole snapshot.
+  PlanCacheSnapshot snap;
+  PlanCacheEntry shallow;
+  shallow.key = "shallow";
+  shallow.initial_plan = PlanNode::Scan("R");
+  shallow.best_plan = shallow.initial_plan;
+  PlanCacheEntry deep = shallow;
+  deep.key = "deep";
+  for (uint32_t i = 0; i < kMaxSnapshotNesting; ++i) {
+    deep.best_plan = PlanNode::Rdup(deep.best_plan);
+  }
+  snap.entries = {shallow, deep};
+  Result<PlanCacheSnapshot> back = DeserializeSnapshot(SerializeSnapshot(snap));
+  ASSERT_FALSE(back.ok());
+  EXPECT_NE(back.status().message().find("nested deeper"), std::string::npos)
+      << back.status().message();
+}
+
 TEST(PlanStoreTest, StaleCatalogVersionRejectsWholesale) {
   const std::string path = TempPath("tqp_plan_store_stale.snapshot");
   {

@@ -10,11 +10,17 @@
 // must also agree, since both executors compute it from the same formulas.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "algebra/printer.h"
 #include "api/engine.h"
+#include "backend/backend.h"
+#include "backend/sqlite_backend.h"
+#include "core/profile.h"
 #include "exec/evaluator.h"
+#include "exec/result_cache.h"
 #include "test_util.h"
 #include "vexec/vexec.h"
 #include "workload/generator.h"
@@ -603,6 +609,369 @@ TEST(VexecEngine, ThreadsAndBudgetFlowThroughEngineOptions) {
   // The budget reached the executor: the sort of 40 messy rows exceeds 1 KiB.
   EXPECT_GT(vec->exec.spill_bytes, 0);
   EXPECT_EQ(ref->exec.spill_bytes, 0);
+}
+
+// ---- Plan-driver goldens ----------------------------------------------------
+//
+// Both executors run their plans through one per-node driver (profile/span
+// stamping, result-cache splice, transferS pushdown, accounting, scramble),
+// so comparing one executor against the other cannot catch a driver bug.
+// These fixtures freeze the driver's observable behaviour instead: the full
+// ExecStats rendering and the timing-free profile tree of fixed plans, per
+// executor and scramble mode.
+
+enum class DriverExecutor { kReference, kVectorized };
+
+struct DriverRun {
+  std::string stats;    // ExecStats::ToJson, one line per run
+  std::string profile;  // PrintProfile(show_times = false), per run
+  std::vector<ProfileNode> roots;
+};
+
+/// One golden case: a sequence of plans run against one engine config (a
+/// shared result cache, when `use_cache`, so later runs can splice).
+struct DriverCase {
+  std::string name;
+  std::vector<PlanPtr> runs;
+  bool use_backend = false;
+  bool use_cache = false;
+};
+
+std::vector<DriverCase> DriverCases() {
+  auto R = [] { return PlanNode::Scan("R"); };
+  auto C = [] { return PlanNode::Scan("C"); };
+  auto D = [] { return PlanNode::Scan("D"); };
+  ExprPtr equi = Expr::And(
+      Expr::Compare(CompareOp::kEq, Expr::Attr("1.Name"), Expr::Attr("2.Name")),
+      Expr::Compare(CompareOp::kLe, Expr::Attr("1.Val"), Expr::Attr("2.Val")));
+  ExprPtr big = Expr::Compare(CompareOp::kGt, Expr::Attr("Val"),
+                              Expr::Const(Value::Int(100)));
+  ExprPtr name_eq = Expr::Compare(CompareOp::kEq, Expr::Attr("Name"),
+                                  Expr::Const(Value::String("n3")));
+  PlanPtr cut = PlanNode::TransferS(PlanNode::Select(R(), name_eq));
+  std::vector<DriverCase> cases;
+  // σ over × with an equality conjunct: fused into a hash join by the
+  // vectorized executor unless the scramble would observe the product.
+  cases.push_back({"fused-join",
+                   {PlanNode::Sort(
+                       PlanNode::TransferS(
+                           PlanNode::Select(PlanNode::Product(C(), D()), equi)),
+                       {{"1.Name", true}})}});
+  // A conventional cut the SQLite backend runs natively.
+  cases.push_back({"pushed-cut",
+                   {PlanNode::Sort(PlanNode::TransferS(PlanNode::Select(C(), big)),
+                                   {{"Name", true}})},
+                   /*use_backend=*/true});
+  // A temporal cut the serializer refuses: evaluated in-engine.
+  cases.push_back(
+      {"refused-cut",
+       {PlanNode::Sort(PlanNode::TransferS(PlanNode::Coalesce(R())),
+                       {{"Name", true}})},
+       /*use_backend=*/true});
+  // A stratum result shipped back to the DBMS: transferD keeps its input's
+  // order under the scramble, the DBMS-site selection above it does not.
+  cases.push_back(
+      {"transfer-d",
+       {PlanNode::Sort(
+           PlanNode::TransferS(PlanNode::Select(
+               PlanNode::TransferD(PlanNode::Coalesce(PlanNode::TransferS(R()))),
+               name_eq)),
+           {{"Name", true}})}});
+  // Run 1 fills the cache; run 2 shares the cut and splices it; run 3
+  // repeats run 2 and splices the root.
+  cases.push_back({"cache-hit",
+                   {PlanNode::Sort(cut, {{"Name", true}}),
+                    PlanNode::Coalesce(cut), PlanNode::Coalesce(cut)},
+                   /*use_backend=*/false,
+                   /*use_cache=*/true});
+  return cases;
+}
+
+DriverRun RunDriverCase(const DriverCase& c, DriverExecutor executor,
+                        bool scrambled, bool profiled, Backend* backend) {
+  Catalog catalog = MakeCatalog(5);
+  EngineConfig config;
+  config.dbms_scrambles_order = scrambled;
+  if (c.use_backend) config.backend = backend;
+  SubplanResultCache cache(uint64_t{1} << 24);
+  if (c.use_cache) config.result_cache = &cache;
+  VexecOptions vopts;
+  vopts.batch_size = 8;
+  DriverRun out;
+  for (const PlanPtr& plan : c.runs) {
+    Result<AnnotatedPlan> ann =
+        AnnotatedPlan::Make(plan, &catalog, QueryContract::Multiset());
+    TQP_CHECK(ann.ok());
+    ExecStats stats;
+    ProfileNode root;
+    ProfileNode* prof = profiled ? &root : nullptr;
+    Result<Relation> result =
+        executor == DriverExecutor::kReference
+            ? Evaluate(ann.value(), config, &stats, prof)
+            : ExecuteVectorized(ann.value(), config, &stats, vopts, prof);
+    TQP_CHECK(result.ok());
+    out.stats += stats.ToJson() + "\n";
+    if (profiled) {
+      ProfilePrintOptions popts;
+      popts.show_times = false;
+      out.profile += PrintProfile(root, popts);
+      out.roots.push_back(std::move(root));
+    }
+  }
+  return out;
+}
+
+/// {case, scramble} -> expected {reference, vectorized} stats + profile.
+struct DriverGolden {
+  const char* ref_stats;
+  const char* ref_profile;
+  const char* vec_stats;
+  const char* vec_profile;
+};
+
+const DriverGolden* FindDriverGolden(const std::string& key);
+
+void ExpectProfilesAgreeAcrossExecutors(const ProfileNode& ref,
+                                        const ProfileNode& vec,
+                                        const std::string& label) {
+  EXPECT_EQ(ref.op, vec.op) << label;
+  EXPECT_EQ(ref.kind, vec.kind) << label;
+  EXPECT_EQ(ref.rows_in, vec.rows_in) << label << " " << ref.op;
+  EXPECT_EQ(ref.rows_out, vec.rows_out) << label << " " << ref.op;
+  EXPECT_EQ(ref.result_cache_hit, vec.result_cache_hit) << label;
+  EXPECT_EQ(ref.backend_pushed, vec.backend_pushed) << label;
+  EXPECT_EQ(ref.batches, 0) << label;
+  ASSERT_EQ(ref.children.size(), vec.children.size()) << label << " " << ref.op;
+  for (size_t i = 0; i < ref.children.size(); ++i) {
+    ExpectProfilesAgreeAcrossExecutors(ref.children[i], vec.children[i],
+                                       label);
+  }
+}
+
+TEST(PlanDriverGolden, StatsAndProfilesMatchTheFixtures) {
+  if (!SqliteBackend::Available()) GTEST_SKIP() << "built without sqlite3";
+  Result<std::unique_ptr<Backend>> made = MakeBackend(BackendKind::kSqlite);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  for (const DriverCase& c : DriverCases()) {
+    for (bool scrambled : {false, true}) {
+      const std::string key = c.name + (scrambled ? "/scrambled" : "/plain");
+      DriverRun ref[2], vec[2];
+      for (bool profiled : {false, true}) {
+        ref[profiled] = RunDriverCase(c, DriverExecutor::kReference, scrambled,
+                                      profiled, made.value().get());
+        vec[profiled] = RunDriverCase(c, DriverExecutor::kVectorized,
+                                      scrambled, profiled, made.value().get());
+      }
+      // Profiling never changes what is accounted.
+      EXPECT_EQ(ref[0].stats, ref[1].stats) << key;
+      EXPECT_EQ(vec[0].stats, vec[1].stats) << key;
+      const DriverGolden* g = FindDriverGolden(key);
+      ASSERT_TRUE(g != nullptr)
+          << key << "\nref stats:\n" << ref[1].stats << "ref profile:\n"
+          << ref[1].profile << "vec stats:\n" << vec[1].stats
+          << "vec profile:\n" << vec[1].profile;
+      EXPECT_EQ(ref[1].stats, g->ref_stats) << key;
+      EXPECT_EQ(ref[1].profile, g->ref_profile) << key;
+      EXPECT_EQ(vec[1].stats, g->vec_stats) << key;
+      EXPECT_EQ(vec[1].profile, g->vec_profile) << key;
+      ASSERT_EQ(ref[1].roots.size(), vec[1].roots.size());
+      for (size_t i = 0; i < ref[1].roots.size(); ++i) {
+        ExpectProfilesAgreeAcrossExecutors(ref[1].roots[i], vec[1].roots[i],
+                                           key + " run " + std::to_string(i));
+      }
+    }
+  }
+}
+
+const DriverGolden* FindDriverGolden(const std::string& key) {
+  static const std::vector<std::pair<std::string, DriverGolden>> goldens = {
+      {"fused-join/plain",
+       {R"({"dbms_work":1710,"stratum_work":2984.5670777321875,"total_work":4694.5670777321875,"tuples_transferred":92,"tuples_produced":1054,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":0,"ops":{"product":1,"scan":2,"select":1,"sort":1,"transferS":1}}
+)",
+        R"(sort [1.Name ASC] | rows=92 in=92
+  transferS | rows=92 in=92
+    select ((1.Name = 2.Name) AND (1.Val <= 2.Val)) | rows=92 in=720
+      product | rows=720 in=58
+        scan C | rows=40
+        scan D | rows=18
+)",
+        R"({"dbms_work":1710,"stratum_work":2984.5670777321875,"total_work":4694.5670777321875,"tuples_transferred":92,"tuples_produced":1054,"vec_batches":130,"vec_materializations":6,"vec_rows":1054,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":0,"ops":{"product":1,"scan":2,"select":1,"sort":1,"transferS":1}}
+)",
+        R"(sort [1.Name ASC] | rows=92 in=92 batches=12
+  transferS | rows=92 in=92 batches=12
+    select ((1.Name = 2.Name) AND (1.Val <= 2.Val)) | rows=92 in=720 batches=90
+      product | rows=720 in=58 batches=8
+        scan C | rows=40 batches=5
+        scan D | rows=18 batches=3
+)"}},
+      {"fused-join/scrambled",
+       {R"({"dbms_work":1710,"stratum_work":2984.5670777321875,"total_work":4694.5670777321875,"tuples_transferred":92,"tuples_produced":1054,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":0,"ops":{"product":1,"scan":2,"select":1,"sort":1,"transferS":1}}
+)",
+        R"(sort [1.Name ASC] | rows=92 in=92
+  transferS | rows=92 in=92
+    select ((1.Name = 2.Name) AND (1.Val <= 2.Val)) | rows=92 in=720
+      product | rows=720 in=58
+        scan C | rows=40
+        scan D | rows=18
+)",
+        R"({"dbms_work":1710,"stratum_work":2984.5670777321875,"total_work":4694.5670777321875,"tuples_transferred":92,"tuples_produced":1054,"vec_batches":130,"vec_materializations":8,"vec_rows":1054,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":0,"ops":{"product":1,"scan":2,"select":1,"sort":1,"transferS":1}}
+)",
+        R"(sort [1.Name ASC] | rows=92 in=92 batches=12
+  transferS | rows=92 in=92 batches=12
+    select ((1.Name = 2.Name) AND (1.Val <= 2.Val)) | rows=92 in=720 batches=90
+      product | rows=720 in=58 batches=8
+        scan C | rows=40 batches=5
+        scan D | rows=18 batches=3
+)"}},
+      {"pushed-cut/plain",
+       {R"({"dbms_work":0,"stratum_work":1085.5084951819781,"total_work":1085.5084951819781,"tuples_transferred":39,"tuples_produced":78,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":1,"backend_rows":39,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":0,"ops":{"sort":1,"transferS":1}}
+)",
+        R"(sort [Name ASC] | rows=39 in=39
+  transferS | rows=39 | pushed
+)",
+        R"({"dbms_work":0,"stratum_work":1085.5084951819781,"total_work":1085.5084951819781,"tuples_transferred":39,"tuples_produced":78,"vec_batches":10,"vec_materializations":2,"vec_rows":78,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":1,"backend_rows":39,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":0,"ops":{"sort":1,"transferS":1}}
+)",
+        R"(sort [Name ASC] | rows=39 in=39 batches=5
+  transferS | rows=39 | pushed
+)"}},
+      {"pushed-cut/scrambled",
+       {R"({"dbms_work":0,"stratum_work":1085.5084951819781,"total_work":1085.5084951819781,"tuples_transferred":39,"tuples_produced":78,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":1,"backend_rows":39,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":0,"ops":{"sort":1,"transferS":1}}
+)",
+        R"(sort [Name ASC] | rows=39 in=39
+  transferS | rows=39 | pushed
+)",
+        R"({"dbms_work":0,"stratum_work":1085.5084951819781,"total_work":1085.5084951819781,"tuples_transferred":39,"tuples_produced":78,"vec_batches":10,"vec_materializations":2,"vec_rows":78,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":1,"backend_rows":39,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":0,"ops":{"sort":1,"transferS":1}}
+)",
+        R"(sort [Name ASC] | rows=39 in=39 batches=5
+  transferS | rows=39 | pushed
+)"}},
+      {"refused-cut/plain",
+       {R"({"dbms_work":13961.534326781382,"stratum_work":1878.2745407219791,"total_work":15839.808867503361,"tuples_transferred":62,"tuples_produced":263,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":1,"result_cache_hits":0,"result_cache_misses":0,"ops":{"coalT":1,"scan":1,"sort":1,"transferS":1}}
+)",
+        R"(sort [Name ASC] | rows=62 in=62
+  transferS | rows=62 in=62
+    coalT | rows=62 in=77
+      scan R | rows=77
+)",
+        R"({"dbms_work":13961.534326781382,"stratum_work":1878.2745407219791,"total_work":15839.808867503361,"tuples_transferred":62,"tuples_produced":263,"vec_batches":36,"vec_materializations":4,"vec_rows":263,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":1,"result_cache_hits":0,"result_cache_misses":0,"ops":{"coalT":1,"scan":1,"sort":1,"transferS":1}}
+)",
+        R"(sort [Name ASC] | rows=62 in=62 batches=8
+  transferS | rows=62 in=62 batches=8
+    coalT | rows=62 in=77 batches=10
+      scan R | rows=77 batches=10
+)"}},
+      {"refused-cut/scrambled",
+       {R"({"dbms_work":13961.534326781382,"stratum_work":1878.2745407219791,"total_work":15839.808867503361,"tuples_transferred":62,"tuples_produced":263,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":1,"result_cache_hits":0,"result_cache_misses":0,"ops":{"coalT":1,"scan":1,"sort":1,"transferS":1}}
+)",
+        R"(sort [Name ASC] | rows=62 in=62
+  transferS | rows=62 in=62
+    coalT | rows=62 in=77
+      scan R | rows=77
+)",
+        R"({"dbms_work":13961.534326781382,"stratum_work":1878.2745407219791,"total_work":15839.808867503361,"tuples_transferred":62,"tuples_produced":263,"vec_batches":36,"vec_materializations":5,"vec_rows":263,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":1,"result_cache_hits":0,"result_cache_misses":0,"ops":{"coalT":1,"scan":1,"sort":1,"transferS":1}}
+)",
+        R"(sort [Name ASC] | rows=62 in=62 batches=8
+  transferS | rows=62 in=62 batches=8
+    coalT | rows=62 in=77 batches=10
+      scan R | rows=77 batches=10
+)"}},
+      {"cache-hit/plain",
+       {R"({"dbms_work":248,"stratum_work":346,"total_work":594,"tuples_transferred":15,"tuples_produced":122,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":2,"ops":{"scan":1,"select":1,"sort":1,"transferS":1}}
+{"dbms_work":0,"stratum_work":296,"total_work":296,"tuples_transferred":0,"tuples_produced":10,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":1,"result_cache_misses":1,"ops":{"coalT":1}}
+{"dbms_work":0,"stratum_work":0,"total_work":0,"tuples_transferred":0,"tuples_produced":0,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":1,"result_cache_misses":0,"ops":{}}
+)",
+        R"(sort [Name ASC] | rows=15 in=15
+  transferS | rows=15 in=15
+    select (Name = 'n3') | rows=15 in=77
+      scan R | rows=77
+coalT | rows=10 in=15
+  transferS | rows=15 | cache-hit
+coalT | rows=10 | cache-hit
+)",
+        R"({"dbms_work":248,"stratum_work":346,"total_work":594,"tuples_transferred":15,"tuples_produced":122,"vec_batches":24,"vec_materializations":4,"vec_rows":122,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":2,"ops":{"scan":1,"select":1,"sort":1,"transferS":1}}
+{"dbms_work":0,"stratum_work":296,"total_work":296,"tuples_transferred":0,"tuples_produced":10,"vec_batches":2,"vec_materializations":1,"vec_rows":10,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":1,"result_cache_misses":1,"ops":{"coalT":1}}
+{"dbms_work":0,"stratum_work":0,"total_work":0,"tuples_transferred":0,"tuples_produced":0,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":1,"result_cache_misses":0,"ops":{}}
+)",
+        R"(sort [Name ASC] | rows=15 in=15 batches=2
+  transferS | rows=15 in=15 batches=2
+    select (Name = 'n3') | rows=15 in=77 batches=10
+      scan R | rows=77 batches=10
+coalT | rows=10 in=15 batches=2
+  transferS | rows=15 | cache-hit
+coalT | rows=10 | cache-hit
+)"}},
+      {"cache-hit/scrambled",
+       {R"({"dbms_work":248,"stratum_work":346,"total_work":594,"tuples_transferred":15,"tuples_produced":122,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":2,"ops":{"scan":1,"select":1,"sort":1,"transferS":1}}
+{"dbms_work":0,"stratum_work":296,"total_work":296,"tuples_transferred":0,"tuples_produced":10,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":1,"result_cache_misses":1,"ops":{"coalT":1}}
+{"dbms_work":0,"stratum_work":0,"total_work":0,"tuples_transferred":0,"tuples_produced":0,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":1,"result_cache_misses":0,"ops":{}}
+)",
+        R"(sort [Name ASC] | rows=15 in=15
+  transferS | rows=15 in=15
+    select (Name = 'n3') | rows=15 in=77
+      scan R | rows=77
+coalT | rows=10 in=15
+  transferS | rows=15 | cache-hit
+coalT | rows=10 | cache-hit
+)",
+        R"({"dbms_work":248,"stratum_work":346,"total_work":594,"tuples_transferred":15,"tuples_produced":122,"vec_batches":24,"vec_materializations":5,"vec_rows":122,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":2,"ops":{"scan":1,"select":1,"sort":1,"transferS":1}}
+{"dbms_work":0,"stratum_work":296,"total_work":296,"tuples_transferred":0,"tuples_produced":10,"vec_batches":2,"vec_materializations":1,"vec_rows":10,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":1,"result_cache_misses":1,"ops":{"coalT":1}}
+{"dbms_work":0,"stratum_work":0,"total_work":0,"tuples_transferred":0,"tuples_produced":0,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":1,"result_cache_misses":0,"ops":{}}
+)",
+        R"(sort [Name ASC] | rows=15 in=15 batches=2
+  transferS | rows=15 in=15 batches=2
+    select (Name = 'n3') | rows=15 in=77 batches=10
+      scan R | rows=77 batches=10
+coalT | rows=10 in=15 batches=2
+  transferS | rows=15 | cache-hit
+coalT | rows=10 | cache-hit
+)"}},
+      {"transfer-d/plain",
+       {R"({"dbms_work":228,"stratum_work":2699.2604835050624,"total_work":2927.2604835050624,"tuples_transferred":149,"tuples_produced":308,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":0,"ops":{"coalT":1,"scan":1,"select":1,"sort":1,"transferD":1,"transferS":2}}
+)",
+        R"(sort [Name ASC] | rows=10 in=10
+  transferS | rows=10 in=10
+    select (Name = 'n3') | rows=10 in=62
+      transferD | rows=62 in=62
+        coalT | rows=62 in=77
+          transferS | rows=77 in=77
+            scan R | rows=77
+)",
+        R"({"dbms_work":228,"stratum_work":2699.2604835050624,"total_work":2927.2604835050624,"tuples_transferred":149,"tuples_produced":308,"vec_batches":50,"vec_materializations":7,"vec_rows":308,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":0,"ops":{"coalT":1,"scan":1,"select":1,"sort":1,"transferD":1,"transferS":2}}
+)",
+        R"(sort [Name ASC] | rows=10 in=10 batches=2
+  transferS | rows=10 in=10 batches=2
+    select (Name = 'n3') | rows=10 in=62 batches=8
+      transferD | rows=62 in=62 batches=8
+        coalT | rows=62 in=77 batches=10
+          transferS | rows=77 in=77 batches=10
+            scan R | rows=77 batches=10
+)"}},
+      {"transfer-d/scrambled",
+       {R"({"dbms_work":228,"stratum_work":2699.2604835050624,"total_work":2927.2604835050624,"tuples_transferred":149,"tuples_produced":308,"vec_batches":0,"vec_materializations":0,"vec_rows":0,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":0,"ops":{"coalT":1,"scan":1,"select":1,"sort":1,"transferD":1,"transferS":2}}
+)",
+        R"(sort [Name ASC] | rows=10 in=10
+  transferS | rows=10 in=10
+    select (Name = 'n3') | rows=10 in=62
+      transferD | rows=62 in=62
+        coalT | rows=62 in=77
+          transferS | rows=77 in=77
+            scan R | rows=77
+)",
+        R"({"dbms_work":228,"stratum_work":2699.2604835050624,"total_work":2927.2604835050624,"tuples_transferred":149,"tuples_produced":308,"vec_batches":50,"vec_materializations":8,"vec_rows":308,"morsels":0,"steals":0,"spill_bytes":0,"spill_runs":0,"backend_pushdowns":0,"backend_rows":0,"backend_fallbacks":0,"backend_refusals":0,"result_cache_hits":0,"result_cache_misses":0,"ops":{"coalT":1,"scan":1,"select":1,"sort":1,"transferD":1,"transferS":2}}
+)",
+        R"(sort [Name ASC] | rows=10 in=10 batches=2
+  transferS | rows=10 in=10 batches=2
+    select (Name = 'n3') | rows=10 in=62 batches=8
+      transferD | rows=62 in=62 batches=8
+        coalT | rows=62 in=77 batches=10
+          transferS | rows=77 in=77 batches=10
+            scan R | rows=77 batches=10
+)"}},
+  };
+  for (const auto& [k, g] : goldens) {
+    if (k == key) return &g;
+  }
+  return nullptr;
 }
 
 }  // namespace
